@@ -20,9 +20,8 @@
 #include "common/timeseries.hpp"
 #include "core/cluster_spec.hpp"
 #include "core/run_result.hpp"
+#include "core/threaded_cluster.hpp"
 #include "harness/cluster_harness.hpp"
-#include "net/net_cluster.hpp"
-#include "rt/rt_cluster.hpp"
 #include "sim/sim_cluster.hpp"
 
 namespace ci::bench {
@@ -178,8 +177,8 @@ inline const char* pname(Protocol p) { return core::protocol_name(p); }
 
 // Time-series run for the slow-core experiments (Fig. 11 / §2.2): runs the
 // spec — including its FaultPlan — for `buckets * bucket` and returns the
-// merged per-bucket commit rate across all clients. Works on either
-// backend: virtual time under sim, wall time under rt.
+// merged per-bucket commit rate across all clients. Works on any backend:
+// virtual time under sim, wall time under rt and net.
 inline std::vector<double> run_timeseries(Backend backend, const ClusterSpec& spec,
                                           Nanos bucket, int buckets) {
   const Nanos total = bucket * buckets;
@@ -192,16 +191,8 @@ inline std::vector<double> run_timeseries(Backend backend, const ClusterSpec& sp
     for (int i = 0; i < C; ++i) per_client.emplace_back(0, bucket, static_cast<std::size_t>(buckets));
     for (int i = 0; i < C; ++i) c.mutable_client(i).set_commit_series(&per_client[static_cast<std::size_t>(i)]);
     c.run(total);
-  } else if (backend == Backend::kRt) {
-    rt::RtCluster c(spec);
-    const Nanos origin = now_nanos();
-    for (int i = 0; i < C; ++i) per_client.emplace_back(origin, bucket, static_cast<std::size_t>(buckets));
-    for (int i = 0; i < C; ++i) c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
-    c.start();
-    c.drive_until(origin + total);
-    c.stop();
   } else {
-    net::NetCluster c(spec);
+    core::ThreadedCluster c(backend, spec);
     const Nanos origin = now_nanos();
     for (int i = 0; i < C; ++i) per_client.emplace_back(origin, bucket, static_cast<std::size_t>(buckets));
     for (int i = 0; i < C; ++i) c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);

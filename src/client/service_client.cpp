@@ -2,7 +2,6 @@
 
 #include <mutex>
 
-#include "common/affinity.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sim/sim_net.hpp"
@@ -97,8 +96,6 @@ ServiceClient::ServiceClient(const Options& opts)
   const std::int32_t S = opts_.num_sessions;
   CI_CHECK(G >= 1);
   CI_CHECK(S >= 1);
-  const std::int32_t replica_nodes = dep_.num_nodes();
-  const std::int32_t total = replica_nodes + S;
 
   const bool is_sim = opts_.backend == core::Backend::kSim;
   if (is_sim) sim_ = std::make_unique<SimState>();
@@ -126,74 +123,34 @@ ServiceClient::ServiceClient(const Options& opts)
     sessions_.push_back(std::move(session));
   }
 
+  // Transport nodes: the replicas' nodes, then one per session.
+  std::vector<consensus::Engine*> node_engines;
+  for (consensus::NodeId n = 0; n < dep_.num_nodes(); ++n) {
+    node_engines.push_back(dep_.node_engine(n));
+  }
+  for (auto& d : session_demux_) node_engines.push_back(d.get());
+
+  // No deliver hook on any backend: the facade exposes no agreement
+  // introspection, and recording every delivery would grow recorder state
+  // unboundedly over the service's lifetime (deployments with a bounded
+  // run window are where the recorders earn their keep).
   if (is_sim) {
     sim_->net = std::make_unique<sim::SimNet>(opts_.spec.sim.model, opts_.spec.seed,
                                               opts_.spec.sim.tick_period);
-    for (consensus::NodeId n = 0; n < replica_nodes; ++n) {
-      sim_->net->add_node(dep_.node_engine(n));
-    }
-    for (auto& d : session_demux_) sim_->net->add_node(d.get());
-    // No deliver hook on either backend: the facade exposes no agreement
-    // introspection, and recording every delivery would grow recorder state
-    // unboundedly over the service's lifetime (deployments with a bounded
-    // run window are where the recorders earn their keep).
+    for (consensus::Engine* e : node_engines) sim_->net->add_node(e);
     // Bring the replicas up (leader election, first heartbeats) so the
     // first session op does not pay the cold-start latency.
     sim_->net->run_until(1 * kMillisecond);
     return;
   }
-
-  if (opts_.backend == core::Backend::kNet) {
-    net::Endpoint registry_at;  // loopback ephemeral unless the spec names one
-    if (!opts_.spec.net.registry.empty()) {
-      CI_CHECK_MSG(net::parse_endpoint(opts_.spec.net.registry, &registry_at),
-                   "bad net.registry endpoint");
-    }
-    registry_ = std::make_unique<net::Registry>(registry_at, total);
-    CI_CHECK_MSG(registry_->ok(), "cannot bind the net registry");
-    if (opts_.spec.net.io_threads > 0) {
-      io_pool_ = std::make_unique<net::IoPool>(opts_.spec.net.io_threads);
-    }
-    net::MeshConfig mesh;
-    mesh.registry = registry_->endpoint();
-    mesh.total_nodes = total;
-    mesh.port_base = opts_.spec.net.port_base;
-    mesh.ring_bytes = net::ring_bytes_for(opts_.spec.engine.batch);
-    for (consensus::NodeId n = 0; n < replica_nodes; ++n) {
-      net_nodes_.push_back(
-          std::make_unique<net::NetNode>(n, dep_.node_engine(n), mesh, io_pool_.get()));
-    }
-    for (std::int32_t s = 0; s < S; ++s) {
-      net_nodes_.push_back(std::make_unique<net::NetNode>(
-          replica_nodes + s, session_demux_[static_cast<std::size_t>(s)].get(), mesh,
-          io_pool_.get()));
-    }
-    // Sessions submit on demand (no kStart release: there are no workload
-    // clients), so starting the mesh is the whole bring-up.
-    for (auto& n : net_nodes_) n->start();
-    return;
-  }
-
-  net_ = std::make_unique<qclt::Network>(rt::slots_for(opts_.spec.engine.batch));
-  const bool pin = opts_.spec.rt.pin && pinning_available();
-  for (consensus::NodeId n = 0; n < replica_nodes; ++n) {
-    nodes_.push_back(std::make_unique<rt::RtNode>(
-        n, total, dep_.node_engine(n), net_.get(),
-        pin ? static_cast<int>(n) % online_cores() : -1));
-  }
-  for (std::int32_t s = 0; s < S; ++s) {
-    nodes_.push_back(std::make_unique<rt::RtNode>(
-        replica_nodes + s, total, session_demux_[static_cast<std::size_t>(s)].get(),
-        net_.get(), pin ? static_cast<int>(replica_nodes + s) % online_cores() : -1));
-  }
-  for (auto& n : nodes_) n->start();
+  // Sessions submit on demand (no kStart release: there are no workload
+  // clients), so starting the mesh is the whole bring-up.
+  mesh_ = std::make_unique<core::ThreadedMesh>(opts_.backend, opts_.spec, node_engines);
+  mesh_->start();
 }
 
 ServiceClient::~ServiceClient() {
-  for (auto& n : nodes_) n->request_stop();
-  for (auto& n : nodes_) n->join();
-  for (auto& n : net_nodes_) n->request_stop();
-  for (auto& n : net_nodes_) n->join();
+  if (mesh_ != nullptr) mesh_->stop();
 }
 
 Session& ServiceClient::session(std::int32_t i) {
@@ -229,11 +186,7 @@ void ServiceClient::throttle_replica(GroupId g, consensus::NodeId r, std::uint32
     }
     return;
   }
-  if (opts_.backend == core::Backend::kNet) {
-    net_nodes_[static_cast<std::size_t>(node)]->set_slow_factor(factor);
-    return;
-  }
-  nodes_[static_cast<std::size_t>(node)]->set_slow_factor(factor);
+  mesh_->set_slow_factor(node, factor);
 }
 
 void ServiceClient::stretch_clock(consensus::NodeId r, double rate) {
@@ -250,11 +203,7 @@ void ServiceClient::stretch_clock(GroupId g, consensus::NodeId r, double rate) {
     sim_->net->stretch_clock(node, rate);
     return;
   }
-  if (opts_.backend == core::Backend::kNet) {
-    net_nodes_[static_cast<std::size_t>(node)]->stretch_clock(rate);
-    return;
-  }
-  nodes_[static_cast<std::size_t>(node)]->stretch_clock(rate);
+  mesh_->stretch_clock(node, rate);
 }
 
 consensus::NodeId ServiceClient::believed_leader(GroupId g) const {
@@ -268,10 +217,7 @@ std::uint64_t ServiceClient::total_messages() const {
     std::lock_guard<std::mutex> lock(sim_->mu);
     return sim_->net->total_messages();
   }
-  std::uint64_t sum = 0;
-  for (const auto& n : nodes_) sum += n->messages_sent();
-  for (const auto& n : net_nodes_) sum += n->messages_sent();
-  return sum;
+  return mesh_->messages_sent();
 }
 
 std::uint64_t ServiceClient::total_bytes() const {
@@ -279,10 +225,7 @@ std::uint64_t ServiceClient::total_bytes() const {
     std::lock_guard<std::mutex> lock(sim_->mu);
     return sim_->net->total_bytes();
   }
-  std::uint64_t sum = 0;
-  for (const auto& n : nodes_) sum += n->bytes_sent();
-  for (const auto& n : net_nodes_) sum += n->bytes_sent();
-  return sum;
+  return mesh_->bytes_sent();
 }
 
 Nanos ServiceClient::sim_now() const {

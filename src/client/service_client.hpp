@@ -30,10 +30,7 @@
 #include "client/txn.hpp"
 #include "core/cluster_spec.hpp"
 #include "core/sharded_deployment.hpp"
-#include "net/net_node.hpp"
-#include "net/registry.hpp"
-#include "qclt/net.hpp"
-#include "rt/rt_node.hpp"
+#include "core/threaded_cluster.hpp"
 
 namespace ci::sim {
 class SimNet;
@@ -199,15 +196,8 @@ class ServiceClient {
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<std::unique_ptr<consensus::GroupDemuxEngine>> session_demux_;
 
-  // rt backend
-  std::unique_ptr<qclt::Network> net_;
-  std::vector<std::unique_ptr<rt::RtNode>> nodes_;
-
-  // net backend: in-process bootstrap registry + one socket-mesh node per
-  // replica and per session (same thread-per-node shape as rt)
-  std::unique_ptr<net::Registry> registry_;
-  std::unique_ptr<net::IoPool> io_pool_;
-  std::vector<std::unique_ptr<net::NetNode>> net_nodes_;
+  // rt and net: one node thread per replica node, then one per session
+  std::unique_ptr<core::ThreadedMesh> mesh_;
 
   // sim backend
   std::unique_ptr<SimState> sim_;

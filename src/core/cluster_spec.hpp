@@ -6,7 +6,7 @@
 // runtime (rt). The per-backend structs at the bottom carry only what a
 // spec cannot abstract over (the simulator's cost model, thread pinning).
 //
-// See DESIGN.md "Deployment layer" for how SimCluster / RtCluster consume
+// See DESIGN.md §1 for how SimCluster / ThreadedCluster consume
 // this through core::Deployment.
 #pragma once
 
@@ -233,8 +233,9 @@ struct ClusterSpec {
 
   std::int32_t client_count() const { return joint ? num_replicas : num_clients; }
 
-  // Protocol nodes (excluding backend-private helpers such as rt's load
-  // manager): joint deployments fold each client into its replica's node.
+  // Protocol nodes (excluding backend-private helpers such as the threaded
+  // load manager): joint deployments fold each client into its replica's
+  // node.
   std::int32_t node_count() const {
     return joint ? num_replicas : num_replicas + num_clients;
   }

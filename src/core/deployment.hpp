@@ -3,13 +3,14 @@
 // Both backends used to duplicate this — SimCluster::build() and RtCluster's
 // constructor each created state machines, replica engines, client engines,
 // the 2PC-Joint local-read hook, and joint co-location. Deployment does it
-// once; SimCluster and RtCluster only attach the result to their transport
-// (SimNet vs qclt::Network) and drive time.
+// once; SimCluster and core::ThreadedCluster only attach the result to
+// their transport (SimNet vs a ThreadedMesh) and drive time.
 //
 // Node id layout (shared by both backends):
 //   * separate:  replicas 0..R-1, clients R..R+C-1
 //   * joint:     nodes 0..R-1, each hosting replica r + client r (§7.4)
-// Backend-private helpers (rt's load manager) take ids past node_count().
+// Backend-private helpers (the threaded load manager) take ids past
+// node_count().
 #pragma once
 
 #include <cstdint>
@@ -116,8 +117,8 @@ class AgreementRecorder {
 
 class Deployment {
  public:
-  // auto_start_clients: sim clients self-start at t=0; rt clients wait for
-  // the load manager's kStart broadcast (§7.1).
+  // auto_start_clients: sim clients self-start at t=0; rt and net clients
+  // wait for the load manager's kStart (§7.1).
   Deployment(const ClusterSpec& spec, bool auto_start_clients);
   ~Deployment();
 
@@ -134,7 +135,7 @@ class Deployment {
     return node_order_[static_cast<std::size_t>(id)];
   }
 
-  // Node ids that host a client (targets of rt's kStart broadcast).
+  // Node ids that host a client (targets of the load manager's kStart).
   const std::vector<consensus::NodeId>& client_node_ids() const {
     return client_node_ids_;
   }

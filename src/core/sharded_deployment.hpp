@@ -63,8 +63,8 @@ class ShardedDeployment {
   }
 
   // Every (group, transport node) pair hosting a client engine — the
-  // targets of rt's per-group kStart broadcast. Under co-location one node
-  // appears once per group.
+  // targets of the load manager's per-group kStart. Under co-location one
+  // node appears once per group.
   const std::vector<std::pair<GroupId, consensus::NodeId>>& client_targets() const {
     return client_targets_;
   }

@@ -7,8 +7,7 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "net/net_cluster.hpp"
-#include "rt/rt_cluster.hpp"
+#include "core/threaded_cluster.hpp"
 #include "sim/sim_cluster.hpp"
 
 namespace ci::harness {
@@ -69,36 +68,12 @@ RunResult run_sim_backend(const ShardSpec& shard, const RunPlan& plan) {
   return res;
 }
 
-RunResult run_rt_backend(const ShardSpec& shard, const RunPlan& plan) {
-  rt::RtCluster c(shard);
-  c.start();
-  const Nanos t0 = now_nanos();
-  c.drive_until(t0 + plan.warmup);
-  const std::uint64_t committed_warm = c.live_committed();
-  const std::uint64_t issued_warm = c.live_issued();
-  const std::uint64_t local_reads_warm = c.live_local_reads();
-  const std::uint64_t messages_warm = c.live_messages();
-  const std::uint64_t bytes_warm = c.live_bytes();
-  const Nanos measure_start = now_nanos();
-  c.drive_until(t0 + std::min(plan.warmup + plan.duration, plan.max_wall));
-  const Nanos measured = std::max<Nanos>(now_nanos() - measure_start, 1);
-  c.stop();
-  RunResult res = c.collect();
-  res.committed -= committed_warm;
-  res.issued -= issued_warm;
-  res.local_reads -= local_reads_warm;
-  res.total_messages -= messages_warm;
-  res.total_bytes -= bytes_warm;
-  res.duration = measured;
-  return res;
-}
-
-// Same warmup-subtraction shape as run_rt_backend, but the cluster is a
-// loopback socket mesh: total_messages/total_bytes count actual frames and
+// On rt and net alike: warm up, snapshot the live counters, measure, and
+// subtract. On net, total_messages/total_bytes count actual frames and
 // socket bytes (length prefix included), so msgs/op and bytes/op rows are
 // honest wire numbers.
-RunResult run_net_backend(const ShardSpec& shard, const RunPlan& plan) {
-  net::NetCluster c(shard);
+RunResult run_threaded_backend(Backend b, const ShardSpec& shard, const RunPlan& plan) {
+  core::ThreadedCluster c(b, shard);
   c.start();
   const Nanos t0 = now_nanos();
   c.drive_until(t0 + plan.warmup);
@@ -826,15 +801,8 @@ void require_harness_flags_only(int argc, char** argv,
 }
 
 RunResult run(Backend b, const ShardSpec& shard, const RunPlan& plan) {
-  switch (b) {
-    case Backend::kSim:
-      return run_sim_backend(shard, plan);
-    case Backend::kRt:
-      return run_rt_backend(shard, plan);
-    case Backend::kNet:
-      return run_net_backend(shard, plan);
-  }
-  CI_CHECK_MSG(false, "unreachable backend");
+  return b == Backend::kSim ? run_sim_backend(shard, plan)
+                            : run_threaded_backend(b, shard, plan);
 }
 
 RunResult run(Backend b, const ClusterSpec& spec, const RunPlan& plan) {

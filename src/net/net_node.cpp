@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <poll.h>
 #include <sys/socket.h>
@@ -124,7 +123,6 @@ void NetNode::thread_main() {
   if (bootstrap()) {
     if (pool_ != nullptr) pool_->add(this);
     ready_.store(true, std::memory_order_release);
-    if (on_ready_) on_ready_(*this);
     poll_loop();
     if (pool_ != nullptr) pool_->remove(this);
   } else {
@@ -178,7 +176,7 @@ void NetNode::poll_loop() {
     for (std::size_t i = 0; i < pfds.size(); ++i) {
       if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) recv_link(pfd_peer[i]);
     }
-    maybe_stall();
+    faults_.maybe_stall();
     engine_->tick(*ctx_);
     drain_self_queue();
     promote_backlogs();
@@ -199,20 +197,26 @@ void NetNode::recv_link(NodeId peer) {
     }
     return;
   }
+  bool corrupt = false;
   const bool ok = l->reasm.feed(
       rbuf_.data(), static_cast<std::size_t>(n),
-      [this](const unsigned char* p, std::uint32_t len) { handle_frame(p, len); });
-  // A bounds-violating length means the stream is corrupt beyond resync.
-  if (!ok) l->dead.store(true, std::memory_order_relaxed);
+      [this, &corrupt](const unsigned char* p, std::uint32_t len) {
+        corrupt = corrupt || !handle_frame(p, len);
+      });
+  // A bounds-violating length means the stream is corrupt beyond resync; a
+  // frame that does not decode means the peer is broken or hostile. Either
+  // way the link drops, as if the peer had died — never the process.
+  if (!ok || corrupt) l->dead.store(true, std::memory_order_relaxed);
 }
 
-void NetNode::handle_frame(const unsigned char* p, std::uint32_t len) {
+bool NetNode::handle_frame(const unsigned char* p, std::uint32_t len) {
   Message m;
-  CI_CHECK_MSG(wire::try_decode(p, len, &m), "malformed frame on socket");
-  maybe_stall();
+  if (!wire::try_decode(p, len, &m)) return false;
+  faults_.maybe_stall();
   engine_->on_message(*ctx_, m);
   wire::release_body(m);  // decode allocated any pooled body
   drain_self_queue();
+  return true;
 }
 
 void NetNode::send(NodeId dst, const Message& m) {
@@ -259,40 +263,6 @@ void NetNode::send(NodeId dst, const Message& m) {
   l->backlog.emplace_back(buf, buf + kLenPrefixBytes + n);
 }
 
-void NetNode::broadcast(const Message& m,
-                        const std::vector<std::pair<GroupId, NodeId>>& targets) {
-  // Encode ONCE, then stamp each target's dst/group into the frame bytes
-  // before enqueueing — one codec pass no matter how wide the fan-out
-  // (the cluster's kStart release and kOpxWindowBody-style bodies).
-  alignas(Message) unsigned char buf[kLenPrefixBytes + wire::kMaxFrameBytes];
-  const auto n = static_cast<std::uint32_t>(wire::frame_size(m));
-  put_len_prefix(buf, n);
-  wire::BufferWriter w(buf + kLenPrefixBytes);
-  const std::uint32_t written = wire::encode_into(m, w, self_, m.dst);
-  CI_CHECK(written == n);
-  wire::release_body(m);
-  for (const auto& [g, dst] : targets) {
-    CI_CHECK(dst != self_ && dst >= 0 && dst < cfg_.total_nodes);
-    const std::int32_t dv = dst;
-    const std::int32_t gv = g;
-    std::memcpy(buf + kLenPrefixBytes + offsetof(Message, dst), &dv, sizeof(dv));
-    std::memcpy(buf + kLenPrefixBytes + offsetof(Message, group), &gv, sizeof(gv));
-    enqueue_bytes(dst, buf, kLenPrefixBytes + n);
-  }
-}
-
-void NetNode::enqueue_bytes(NodeId dst, const unsigned char* p, std::size_t n) {
-  Link* l = links_[static_cast<std::size_t>(dst)].get();
-  if (l == nullptr || l->dead.load(std::memory_order_relaxed)) return;
-  ctx_->sent.fetch_add(1, std::memory_order_relaxed);
-  ctx_->sent_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (l->backlog.empty() && l->ring->free() >= n) {
-    l->ring->push(p, n);
-  } else {
-    l->backlog.emplace_back(p, p + n);
-  }
-}
-
 void NetNode::promote_backlogs() {
   for (auto& link : links_) {
     Link* l = link.get();
@@ -333,14 +303,6 @@ void NetNode::drain_self_queue() {
     engine_->on_message(*ctx_, m);
     wire::release_body(m);
   }
-}
-
-void NetNode::maybe_stall() {
-  const std::uint32_t f = slow_factor_.load(std::memory_order_relaxed);
-  if (f <= 1) return;
-  // Sleep, don't spin — same reasoning as RtNode::maybe_stall: a busy-wait
-  // on an oversubscribed machine would slow the healthy nodes too.
-  std::this_thread::sleep_for(std::chrono::nanoseconds(static_cast<Nanos>(f - 1) * 500));
 }
 
 IoPool::IoPool(std::int32_t threads) : nthreads_(static_cast<std::size_t>(threads)) {

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <thread>
@@ -34,6 +33,7 @@
 
 #include "consensus/engine.hpp"
 #include "consensus/wire_codec.hpp"
+#include "core/node_faults.hpp"
 #include "net/endpoint.hpp"
 #include "net/framing.hpp"
 #include "net/registry.hpp"
@@ -94,37 +94,10 @@ class NetNode {
   // Mesh is up and the engine has started (set on the node thread).
   bool ready() const { return ready_.load(std::memory_order_acquire); }
 
-  // Runs on the node thread after the mesh is up, before engine start; the
-  // one place broadcast() may be called from outside an engine handler.
-  void set_on_ready(std::function<void(NetNode&)> hook) { on_ready_ = std::move(hook); }
-
-  // Fan-out on the encode-once path: encodes `m` a single time, then stamps
-  // each target's dst/group into the frame header copy it enqueues — the
-  // registry map's sibling at the data layer, used for the cluster's kStart
-  // release. Node-thread only (on_ready or an engine handler).
-  void broadcast(const Message& m,
-                 const std::vector<std::pair<GroupId, NodeId>>& targets);
-
-  // Same portable slow-core injection as RtNode: every message (and tick)
-  // costs an extra (factor-1) x 500ns sleep.
-  void set_slow_factor(std::uint32_t factor) {
-    slow_factor_.store(factor == 0 ? 1 : factor, std::memory_order_relaxed);
-  }
-
-  // Same clock-skew injection as RtNode (see rt/rt_node.hpp for the anchor
-  // math and why relaxed ordering is enough).
-  void stretch_clock(double rate) {
-    const Nanos t = now_nanos();
-    const double old_rate = clock_rate_.load(std::memory_order_relaxed);
-    const Nanos anchor_real = clock_anchor_real_.load(std::memory_order_relaxed);
-    const Nanos anchor_seen = clock_anchor_seen_.load(std::memory_order_relaxed);
-    const Nanos seen_now =
-        anchor_seen +
-        static_cast<Nanos>(static_cast<double>(t - anchor_real) * old_rate);
-    clock_anchor_real_.store(t, std::memory_order_relaxed);
-    clock_anchor_seen_.store(seen_now, std::memory_order_relaxed);
-    clock_rate_.store(rate, std::memory_order_relaxed);
-  }
+  // Fault and clock controls (core/node_faults.hpp), the same per-message
+  // stall and perceived-clock skew as RtNode.
+  void set_slow_factor(std::uint32_t factor) { faults_.set_slow_factor(factor); }
+  void stretch_clock(double rate) { faults_.stretch_clock(rate); }
 
   NodeId id() const { return self_; }
   std::uint64_t messages_sent() const { return ctx_->sent.load(std::memory_order_relaxed); }
@@ -141,18 +114,10 @@ class NetNode {
    public:
     explicit Ctx(NetNode* node) : node_(node) {}
     NodeId self() const override { return node_->self_; }
-    Nanos now() const override {
-      const Nanos t = now_nanos();
-      const double rate = node_->clock_rate_.load(std::memory_order_relaxed);
-      if (rate == 1.0) return t;
-      const Nanos anchor_real = node_->clock_anchor_real_.load(std::memory_order_relaxed);
-      const Nanos anchor_seen = node_->clock_anchor_seen_.load(std::memory_order_relaxed);
-      return anchor_seen +
-             static_cast<Nanos>(static_cast<double>(t - anchor_real) * rate);
-    }
+    Nanos now() const override { return node_->faults_.now(); }
     void send(NodeId dst, const Message& m) override { node_->send(dst, m); }
     // Delivery reporting happens in the GroupDemuxEngine hosted on every
-    // node (NetCluster's hook logs per node thread), same as rt.
+    // node (core::ThreadedCluster's hook logs per node thread), same as rt.
     void deliver(Instance, const Command&) override {}
 
     std::atomic<std::uint64_t> sent{0};
@@ -177,12 +142,10 @@ class NetNode {
   bool bootstrap();
   void poll_loop();
   void recv_link(NodeId peer);
-  void handle_frame(const unsigned char* p, std::uint32_t len);
+  bool handle_frame(const unsigned char* p, std::uint32_t len);
   void send(NodeId dst, const Message& m);
-  void enqueue_bytes(NodeId dst, const unsigned char* p, std::size_t n);
   void promote_backlogs();
   void drain_self_queue();
-  void maybe_stall();
 
   NodeId self_;
   Engine* engine_;
@@ -194,15 +157,11 @@ class NetNode {
   std::vector<std::unique_ptr<Link>> links_;  // index = peer id; self = null
   std::vector<unsigned char> rbuf_;           // recv scratch, node thread only
   std::deque<Message> self_queue_;            // deferred self-sends (no reentrancy)
-  std::function<void(NetNode&)> on_ready_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> killed_{false};
   std::atomic<bool> ready_{false};
-  std::atomic<std::uint32_t> slow_factor_{1};
-  std::atomic<Nanos> clock_anchor_real_{0};
-  std::atomic<Nanos> clock_anchor_seen_{0};
-  std::atomic<double> clock_rate_{1.0};
+  core::NodeFaults faults_;
 };
 
 // Dedicated socket-flusher threads (`--net-io-threads`): each worker drains

@@ -11,8 +11,6 @@
 #include <thread>
 #include <unistd.h>
 
-#include "common/check.hpp"
-
 namespace ci::net {
 
 namespace {
@@ -129,9 +127,14 @@ bool fetch_map(const Endpoint& registry, consensus::NodeId self,
                    now_nanos() + 2 * kSecond, cancel)) {
       continue;
     }
+    // The map comes from outside the process: an entry naming a node id
+    // outside it is a broken (or hostile) registry, so retry the fetch.
+    const bool in_range = std::all_of(entries.begin(), entries.end(), [&](const MapEntry& e) {
+      return e.node >= 0 && static_cast<std::uint32_t>(e.node) < hdr.count;
+    });
+    if (!in_range) continue;
     out->assign(hdr.count, Endpoint{});
     for (const MapEntry& e : entries) {
-      CI_CHECK(e.node >= 0 && static_cast<std::uint32_t>(e.node) < hdr.count);
       char name[INET_ADDRSTRLEN] = {0};
       in_addr addr{};
       addr.s_addr = e.addr_be;

@@ -1,9 +1,7 @@
 #include "rt/rt_node.hpp"
 
-#include <chrono>
-#include <thread>
-
 #include "common/affinity.hpp"
+#include "common/check.hpp"
 #include "common/time.hpp"
 
 namespace ci::rt {
@@ -98,16 +96,6 @@ void RtNode::drain_self_queue() {
   }
 }
 
-void RtNode::maybe_stall() {
-  const std::uint32_t f = slow_factor_.load(std::memory_order_relaxed);
-  if (f <= 1) return;
-  // Sleep, don't spin: on a dedicated core the node's processing rate
-  // collapses identically either way, but on an oversubscribed machine a
-  // busy-wait would burn timeslices the *healthy* nodes need — the fault
-  // would slow the whole cluster instead of one node.
-  std::this_thread::sleep_for(std::chrono::nanoseconds(static_cast<Nanos>(f - 1) * 500));
-}
-
 void RtNode::thread_main() {
   if (core_ >= 0) pin_to_core(core_);
   if (stop_.load(std::memory_order_relaxed)) return;
@@ -131,8 +119,13 @@ void RtNode::thread_main() {
           while (!sched_->stopping()) {
             const std::int32_t n = conn->read(buf, sizeof(buf));
             if (n < 0) return;  // stopped
-            maybe_stall();
-            const Message m = decode(buf, static_cast<std::size_t>(n));
+            faults_.maybe_stall();
+            Message m;
+            // The queues carry only frames peer RtNodes encoded into shared
+            // memory: a frame that fails to decode is a bug, not hostile
+            // input (contrast NetNode, which drops the link).
+            CI_CHECK_MSG(wire::try_decode(buf, static_cast<std::size_t>(n), &m),
+                         "malformed message on the wire");
             engine_->on_message(*ctx_, m);
             wire::release_body(m);  // decode allocated any pooled body
             drain_self_queue();
@@ -150,7 +143,7 @@ void RtNode::thread_main() {
         engine_->start(*ctx_);
         drain_self_queue();
         while (!sched_->stopping()) {
-          maybe_stall();
+          faults_.maybe_stall();
           engine_->tick(*ctx_);
           drain_self_queue();
           for (NodeId peer = 0; peer < total_nodes_; ++peer) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "consensus/engine.hpp"
+#include "core/node_faults.hpp"
 #include "qclt/connection.hpp"
 #include "qclt/net.hpp"
 #include "qclt/scheduler.hpp"
@@ -47,35 +48,10 @@ class RtNode {
   void request_stop();
   void join();
 
-  // Portable slow-core injection: every message this node processes (and
-  // every tick) costs an extra (factor-1) x 500ns busy-wait, collapsing the
-  // node's processing rate the way a contended core would. Used when real
-  // core pinning is unavailable (container sandboxes emulate affinity);
-  // see CoreBurner for the paper's literal burner-process method.
-  void set_slow_factor(std::uint32_t factor) {
-    slow_factor_.store(factor == 0 ? 1 : factor, std::memory_order_relaxed);
-  }
-
-  // Clock-skew injection: from now on the engine's ctx.now() advances
-  // `rate` times the wall clock, re-anchored so the perceived clock stays
-  // continuous at the switch. The three fields are stored relaxed — the
-  // node thread may briefly mix old and new anchors at the switch instant,
-  // which perturbs the perceived time by at most the in-flight window; the
-  // lease staleness tests stretch once and then settle, so the transient is
-  // harmless. rate > 1 models the fast clock a deposed leader would need to
-  // overrun its lease.
-  void stretch_clock(double rate) {
-    const Nanos t = now_nanos();
-    const double old_rate = clock_rate_.load(std::memory_order_relaxed);
-    const Nanos anchor_real = clock_anchor_real_.load(std::memory_order_relaxed);
-    const Nanos anchor_seen = clock_anchor_seen_.load(std::memory_order_relaxed);
-    const Nanos seen_now =
-        anchor_seen +
-        static_cast<Nanos>(static_cast<double>(t - anchor_real) * old_rate);
-    clock_anchor_real_.store(t, std::memory_order_relaxed);
-    clock_anchor_seen_.store(seen_now, std::memory_order_relaxed);
-    clock_rate_.store(rate, std::memory_order_relaxed);
-  }
+  // Fault and clock controls (core/node_faults.hpp): per-message stall
+  // and perceived-clock skew.
+  void set_slow_factor(std::uint32_t factor) { faults_.set_slow_factor(factor); }
+  void stretch_clock(double rate) { faults_.stretch_clock(rate); }
 
   NodeId id() const { return self_; }
   std::uint64_t messages_sent() const { return ctx_->sent.load(std::memory_order_relaxed); }
@@ -87,19 +63,12 @@ class RtNode {
    public:
     explicit Ctx(RtNode* node) : node_(node) {}
     NodeId self() const override { return node_->self_; }
-    Nanos now() const override {
-      const Nanos t = now_nanos();
-      const double rate = node_->clock_rate_.load(std::memory_order_relaxed);
-      if (rate == 1.0) return t;
-      const Nanos anchor_real = node_->clock_anchor_real_.load(std::memory_order_relaxed);
-      const Nanos anchor_seen = node_->clock_anchor_seen_.load(std::memory_order_relaxed);
-      return anchor_seen +
-             static_cast<Nanos>(static_cast<double>(t - anchor_real) * rate);
-    }
+    Nanos now() const override { return node_->faults_.now(); }
     void send(NodeId dst, const Message& m) override { node_->send(dst, m); }
     // Delivery reporting happens in the GroupDemuxEngine hosted on every
-    // node (RtCluster's hook logs per node thread and replays into the
-    // per-group recorders after join()); the transport has no channel.
+    // node (core::ThreadedCluster's hook logs per node thread and replays
+    // into the per-group recorders after join()); the transport has no
+    // channel.
     void deliver(Instance, const Command&) override {}
 
     std::atomic<std::uint64_t> sent{0};
@@ -113,7 +82,6 @@ class RtNode {
   void send(NodeId dst, const Message& m);
   void flush_pending(NodeId peer);
   void drain_self_queue();
-  void maybe_stall();
 
   NodeId self_;
   std::int32_t total_nodes_;
@@ -128,11 +96,7 @@ class RtNode {
   std::deque<Message> self_queue_;  // deferred self-sends (no reentrancy)
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint32_t> slow_factor_{1};
-  // Perceived-clock skew (stretch_clock): seen + (wall - real) * rate.
-  std::atomic<Nanos> clock_anchor_real_{0};
-  std::atomic<Nanos> clock_anchor_seen_{0};
-  std::atomic<double> clock_rate_{1.0};
+  core::NodeFaults faults_;
 };
 
 }  // namespace ci::rt

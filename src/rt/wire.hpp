@@ -40,10 +40,6 @@ inline std::uint32_t slots_for(const consensus::BatchPolicy& policy) {
                   qclt::wire::fragments_for(wire::max_frame_bytes(policy)) + 2);
 }
 
-inline std::uint32_t encode(const consensus::Message& m, unsigned char* buf) {
-  return wire::encode(m, buf);
-}
-
 // FrameWriter that lays a frame straight into SPSC queue slots, stamping
 // fragment headers as it crosses slot boundaries — the zero-copy half of
 // RtNode::send: field bytes go from the in-memory Message (or its pooled
@@ -97,11 +93,5 @@ class SlotFrameWriter final : public wire::FrameWriter {
   std::size_t slot_off_ = 0;
   std::uint16_t frag_index_ = 0;
 };
-
-inline consensus::Message decode(const unsigned char* buf, std::size_t n) {
-  consensus::Message m;
-  CI_CHECK_MSG(wire::try_decode(buf, n, &m), "malformed message on the wire");
-  return m;
-}
 
 }  // namespace ci::rt

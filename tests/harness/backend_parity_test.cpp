@@ -105,7 +105,7 @@ TEST_P(FaultPlanParity, OnePaxosCommitsThroughSlowLeader) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothBackends, FaultPlanParity,
-                         ::testing::Values(Backend::kSim, Backend::kRt),
+                         ::testing::Values(Backend::kSim, Backend::kRt, Backend::kNet),
                          [](const auto& info) {
                            return std::string(core::backend_name(info.param));
                          });
