@@ -71,7 +71,10 @@ Ablation run_k(int k) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
+
   header("A2: acceptor replication degree ablation (k-acceptor Multi-Paxos)",
          "paper §4.2-4.3 design rationale",
          "k=1 isolates the single-acceptor saving WITHOUT backup acceptors;\n"

@@ -28,7 +28,10 @@ BenchRun joint_run(Protocol p, int nodes, double read_fraction, bool local_reads
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
+
   header("E6: read workloads — 2PC-Joint local reads vs 1Paxos",
          "paper Fig. 10", "proposals/sec for 3 and 5 joint nodes");
 

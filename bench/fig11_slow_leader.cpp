@@ -43,8 +43,10 @@ int main(int argc, char** argv) {
   using namespace ci;
   using namespace ci::bench;
 
-  harness::require_harness_flags_only(argc, argv, {"--backend"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kRt);
+  Flags flags;
+  flags.backend = Backend::kRt;
+  harness::parse_flags(argc, argv, {Flag::kBackend}, &flags);
+  const Backend backend = flags.backend;
 
   header("E7: 1Paxos throughput with a slow leader (time series)",
          "paper Fig. 11 + §2.2's matching 2PC experiment",

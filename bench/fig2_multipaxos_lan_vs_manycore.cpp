@@ -7,9 +7,12 @@
 // cores' processing power is consumed by message transmissions.
 #include "support/bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ci;
   using namespace ci::bench;
+
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
 
   header("E2: Multi-Paxos throughput vs #clients, LAN vs many-core",
          "paper Fig. 2", "3 replicas; logarithmic client axis as in the figure");

@@ -22,11 +22,12 @@ int main(int argc, char** argv) {
   using namespace ci;
   using namespace ci::bench;
 
-  harness::require_harness_flags_only(
+  Flags flags;
+  harness::parse_flags(
       argc, argv,
-      {"--backend", "--net-port-base", "--net-registry", "--net-io-threads"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kSim);
-  const core::NetParams net = harness::net_params_from_args(argc, argv);
+      {Flag::kBackend, Flag::kNetPortBase, Flag::kNetRegistry, Flag::kNetIoThreads}, &flags);
+  const Backend backend = flags.backend;
+  const core::NetParams& net = flags.net;
 
   header("E4: latency vs throughput as clients scale",
          "paper Fig. 8", "3 replicas; series = (throughput op/s, latency us) per client count");

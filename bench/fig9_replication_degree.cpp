@@ -8,9 +8,12 @@
 // 1Paxos-Joint grows ~linearly up to 47 nodes.
 #include "support/bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ci;
   using namespace ci::bench;
+
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
 
   header("E5: Joint protocols — throughput vs number of replicas",
          "paper Fig. 9", "client == replica; 2 ms think time; leader fixed at node 0");

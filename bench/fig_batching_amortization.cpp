@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
   using core::ShardSpec;
 
   // The batch sweep is this bench's own axis; --batch would silently no-op.
-  harness::require_harness_flags_only(argc, argv, {"--backend", "--sweep-diff"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kSim);
-  const bool diff_backends = harness::sweep_diff_from_args(argc, argv);
+  Flags flags;
+  harness::parse_flags(argc, argv, {Flag::kBackend, Flag::kSweepDiff}, &flags);
+  const Backend backend = flags.backend;
+  const bool diff_backends = flags.sweep_diff;
 
   header("Batching amortization: throughput vs batch size",
          "Multi-Paxos group commit over the §3 cost model",
@@ -124,10 +125,11 @@ int main(int argc, char** argv) {
     plan.max_wall = 60 * kSecond;
     row("");
     row("--sweep-diff: batch=16 spec on sim AND rt...");
-    const harness::SweepDiff d = harness::sweep_diff(ShardSpec(o), plan);
+    const harness::SweepDiffN d =
+        harness::sweep_diff({Backend::kSim, Backend::kRt}, ShardSpec(o), plan);
     row("  sim committed %llu, rt committed %llu",
-        static_cast<unsigned long long>(d.sim.committed),
-        static_cast<unsigned long long>(d.rt.committed));
+        static_cast<unsigned long long>(d.runs[0].result.committed),
+        static_cast<unsigned long long>(d.runs[1].result.committed));
     for (const std::string& m : d.mismatches) row("  MISMATCH: %s", m.c_str());
     if (!d.ok()) return 1;
     row("  shapes agree.");

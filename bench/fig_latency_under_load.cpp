@@ -88,9 +88,11 @@ const char* arm_name(BatchPolicy::FlushMode mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::require_harness_flags_only(argc, argv, {"--backend", "--sessions"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kSim);
-  const std::int64_t sessions = harness::sessions_from_args(argc, argv, 10000);
+  Flags flags;
+  flags.sessions = 10000;
+  harness::parse_flags(argc, argv, {Flag::kBackend, Flag::kSessions}, &flags);
+  const Backend backend = flags.backend;
+  const std::int64_t sessions = flags.sessions;
   const bool sim = backend == Backend::kSim;
 
   header("Tail latency under offered load: adaptive vs fixed batch flush",

@@ -129,12 +129,16 @@ struct LatencyWindow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::require_harness_flags_only(argc, argv,
-                                      {"--backend", "--groups", "--read-mix", "--lease-ms"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kSim);
-  const std::int32_t groups = harness::groups_from_args(argc, argv, 4);
-  const Nanos lease = harness::lease_ms_from_args(argc, argv, 5 * kMillisecond);
-  const double extra_mix = harness::read_mix_from_args(argc, argv, -1.0);
+  Flags flags;
+  flags.groups = 4;
+  flags.lease = 5 * kMillisecond;
+  flags.read_mix = -1.0;  // no extra mix row unless asked for
+  harness::parse_flags(argc, argv,
+                       {Flag::kBackend, Flag::kGroups, Flag::kReadMix, Flag::kLeaseMs}, &flags);
+  const Backend backend = flags.backend;
+  const std::int32_t groups = flags.groups;
+  const Nanos lease = flags.lease;
+  const double extra_mix = flags.read_mix;
 
   header("Read scaling: leader leases vs replicated reads",
          "linearizable reads without log entries (DESIGN.md §1f; cf. §7.5)",

@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
   using core::ShardSpec;
 
   // This bench sweeps its own group counts; --groups would silently no-op.
-  harness::require_harness_flags_only(argc, argv, {"--backend", "--placement"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kSim);
-  const Placement placement = harness::placement_from_args(argc, argv);
+  Flags flags;
+  harness::parse_flags(argc, argv, {Flag::kBackend, Flag::kPlacement}, &flags);
+  const Backend backend = flags.backend;
+  const Placement placement = flags.placement;
 
   header("Sharded scalability: N groups over one transport",
          "paper §2.1 end state; single-group ceiling = Fig. 8",

@@ -116,10 +116,13 @@ struct LatencyWindow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::require_harness_flags_only(argc, argv, {"--backend", "--groups", "--txn-mix"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kSim);
-  const std::int32_t groups = harness::groups_from_args(argc, argv, 4);
-  const double txn_mix = harness::txn_mix_from_args(argc, argv, 0.1);
+  Flags flags;
+  flags.groups = 4;
+  flags.txn_mix = 0.1;
+  harness::parse_flags(argc, argv, {Flag::kBackend, Flag::kGroups, Flag::kTxnMix}, &flags);
+  const Backend backend = flags.backend;
+  const std::int32_t groups = flags.groups;
+  const double txn_mix = flags.txn_mix;
 
   header("Cross-shard transactions vs single-key traffic",
          "2PC across groups, each participant a replicated group (§2.2)",

@@ -8,9 +8,12 @@
 // bottleneck once enough clients pile on.
 #include "support/bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ci;
   using namespace ci::bench;
+
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
 
   header("A4: 1Paxos vs Multi-Paxos over an IP network (LAN model)",
          "paper §8 (in-text, factor 2.88)", "3 replicas; LAN latency model from §3");

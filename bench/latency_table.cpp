@@ -42,7 +42,10 @@ core::RunResult best_rt(Protocol p) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
+
   header("E3: commit latency and throughput with one client",
          "paper §7.2 (in-text table)",
          "3 replicas, closed loop; ordering 1Paxos < Multi-Paxos < 2PC");

@@ -34,7 +34,10 @@ double messages_per_commit(Protocol p) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
+
   header("A1: boundary-crossing messages per commit (3 replicas, 1 client)",
          "paper Fig. 3 + §4.3",
          "counts include the client request and reply; self-delivery between\n"

@@ -127,9 +127,12 @@ double measure_pingpong_ns(int pin_a, int pin_b) {
 }  // namespace
 }  // namespace ci
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ci;
   using namespace ci::bench;
+
+  Flags flags;  // no knobs: --help, or exit 2 on any flag
+  harness::parse_flags(argc, argv, {}, &flags);
 
   header("E1: network characteristics of the many-core",
          "paper §3, in-text measurements",

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/cacheline.hpp"
+#include "harness/flags.hpp"
 #include "qclt/connection.hpp"
 #include "qclt/scheduler.hpp"
 #include "qclt/spsc_queue.hpp"
@@ -153,4 +154,13 @@ BENCHMARK(BM_SchedulerSpawnAndRun);
 }  // namespace
 }  // namespace ci::qclt
 
-BENCHMARK_MAIN();
+// google-benchmark strips its own --benchmark_* flags (and answers --help);
+// whatever is left must be a harness flag, and this bench reads none.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  ci::harness::Flags flags;
+  ci::harness::parse_flags(argc, argv, {}, &flags);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

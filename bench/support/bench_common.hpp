@@ -6,8 +6,11 @@
 // series the paper reports. Absolute numbers reflect this machine and the
 // simulator's cost model; DESIGN.md §3 records the expected *shapes*.
 //
-// Benches accept `--backend={sim,rt,net}` (parsed by backend_from_args) and
-// run the same ClusterSpec on whichever runtime was chosen.
+// Every bench parses its command line with one harness::parse_flags call
+// naming the flags it reads (harness/flags.hpp): `--help` lists them and
+// exits 0, any other flag exits 2. Benches that run on more than one
+// runtime read `--backend={sim,rt,net}` and run the same ClusterSpec on
+// whichever was chosen.
 #pragma once
 
 #include <chrono>
@@ -22,6 +25,7 @@
 #include "core/run_result.hpp"
 #include "core/threaded_cluster.hpp"
 #include "harness/cluster_harness.hpp"
+#include "harness/flags.hpp"
 #include "sim/sim_cluster.hpp"
 
 namespace ci::bench {
@@ -31,6 +35,8 @@ using core::ClusterSpec;
 using core::LatencyModel;
 using core::Protocol;
 using core::TimeoutProfile;
+using harness::Flag;
+using harness::Flags;
 using harness::RunPlan;
 using sim::SimCluster;
 

@@ -8,7 +8,8 @@
 // Positionals select the protocol (2pc|basic|multi|1paxos) and the backend
 // list (sim|rt|net, in any order; default all three):
 //
-//   $ ./bench/sweep_diff [--batch=N] [--batch-flush-us=T] [--groups=N]
+//   $ ./bench/sweep_diff [--batch=N] [--batch-flush-us=T]
+//                        [--flush-policy=fixed|adaptive] [--groups=N]
 //                        [--placement=...] [2pc|basic|multi|1paxos]
 //                        [sim] [rt] [net]
 #include <cstdio>
@@ -21,9 +22,14 @@ int main(int argc, char** argv) {
   using namespace ci;
   using namespace ci::bench;
 
+  Flags flags;
+  harness::parse_flags(argc, argv,
+                       {Flag::kBatch, Flag::kBatchFlushUs, Flag::kFlushPolicy, Flag::kGroups,
+                        Flag::kPlacement},
+                       &flags);
   Protocol protocol = Protocol::kMultiPaxos;
   std::vector<harness::Backend> backends;
-  for (const std::string& arg : harness::positional_args(argc, argv)) {
+  for (const std::string& arg : flags.positionals) {
     harness::Backend b = harness::Backend::kSim;
     if (arg == "2pc") {
       protocol = Protocol::kTwoPc;
@@ -56,9 +62,9 @@ int main(int argc, char** argv) {
   o.num_replicas = 3;
   o.num_clients = 4;
   o.workload.requests_per_client = 100;
-  o.engine.batch = harness::batch_policy_from_args(argc, argv);
+  o.engine.batch = flags.batch;
   o.seed = 29;
-  const core::ShardSpec shard = harness::shard_from_args(argc, argv, o);
+  const core::ShardSpec shard(o, flags.groups, flags.placement);
 
   harness::RunPlan plan;
   plan.duration = 20 * kSecond;  // the quota ends every run long before this

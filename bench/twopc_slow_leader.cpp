@@ -22,8 +22,10 @@ constexpr int kSlowEndBucket = 110;
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::require_harness_flags_only(argc, argv, {"--backend"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kRt);
+  Flags flags;
+  flags.backend = Backend::kRt;
+  harness::parse_flags(argc, argv, {Flag::kBackend}, &flags);
+  const Backend backend = flags.backend;
 
   header("E8: 2PC throughput with a slow coordinator (time series)",
          "paper §2.2 (in-text experiment)",

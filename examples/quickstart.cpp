@@ -8,15 +8,17 @@
 //   $ ./examples/quickstart --backend=sim   # deterministic simulator
 #include <cstdio>
 
-#include "harness/cluster_harness.hpp"
+#include "harness/flags.hpp"
 #include "kv/kv_store.hpp"
 
 int main(int argc, char** argv) {
   using namespace ci;
 
   kv::ReplicatedKv::Options opts;
-  harness::require_harness_flags_only(argc, argv, {"--backend"});
-  opts.backend = harness::backend_from_args(argc, argv, core::Backend::kRt);
+  harness::Flags flags;
+  flags.backend = core::Backend::kRt;
+  harness::parse_flags(argc, argv, {harness::Flag::kBackend}, &flags);
+  opts.backend = flags.backend;
   opts.spec.apply_backend_profile(opts.backend);
   opts.spec.protocol = kv::Protocol::kOnePaxos;  // try kTwoPc or kMultiPaxos too
   opts.spec.num_replicas = 3;

@@ -19,11 +19,14 @@
 // puts bound for the same group into one kClientCmdBatch frame (sender-side
 // coalescing, orthogonal to the leader's --batch).
 //
-//   $ ./examples/replicated_kv [1paxos|multipaxos|2pc] [num_ops]
-//       [--backend=sim|rt] [--groups=N] [--placement=group-major|interleaved|colocated]
-//       [--batch=N] [--batch-flush-us=T] [--client-coalesce=N] [--txn-mix=P]
+//   $ ./examples/replicated_kv [1paxos|multipaxos|basicpaxos|2pc] [num_ops]
+//       [--backend=sim|rt|net] [--groups=N]
+//       [--placement=group-major|interleaved|colocated] [--batch=N]
+//       [--batch-flush-us=T] [--flush-policy=fixed|adaptive]
+//       [--client-coalesce=N] [--txn-mix=P]
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -32,36 +35,69 @@
 #include "client/txn.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
-#include "harness/cluster_harness.hpp"
+#include "harness/flags.hpp"
 #include "kv/kv_store.hpp"
 
 int main(int argc, char** argv) {
   using namespace ci;
 
-  // Positional args (protocol, op count); the harness knows which of its
-  // flags consume the following argv slot in their space form.
-  const std::vector<std::string> positional = harness::positional_args(argc, argv);
-  const double txn_mix = harness::txn_mix_from_args(argc, argv, 0.0);
+  harness::Flags flags;
+  flags.backend = core::Backend::kRt;
+  harness::parse_flags(argc, argv,
+                       {harness::Flag::kBackend, harness::Flag::kGroups,
+                        harness::Flag::kPlacement, harness::Flag::kBatch,
+                        harness::Flag::kBatchFlushUs, harness::Flag::kFlushPolicy,
+                        harness::Flag::kClientCoalesce, harness::Flag::kTxnMix},
+                       &flags);
+  const double txn_mix = flags.txn_mix;
+
+  // Positionals: [protocol] [ops per thread]. Anything unrecognized exits 2
+  // rather than silently running the defaults.
+  const std::vector<std::string>& positional = flags.positionals;
   kv::Protocol protocol = kv::Protocol::kOnePaxos;
   if (!positional.empty()) {
     const std::string& p = positional[0];
-    if (p == "2pc") protocol = kv::Protocol::kTwoPc;
-    if (p == "multipaxos") protocol = kv::Protocol::kMultiPaxos;
-    if (p == "basicpaxos") protocol = kv::Protocol::kBasicPaxos;
+    if (p == "1paxos") {
+      protocol = kv::Protocol::kOnePaxos;
+    } else if (p == "2pc") {
+      protocol = kv::Protocol::kTwoPc;
+    } else if (p == "multipaxos") {
+      protocol = kv::Protocol::kMultiPaxos;
+    } else if (p == "basicpaxos") {
+      protocol = kv::Protocol::kBasicPaxos;
+    } else {
+      std::fprintf(stderr, "unknown protocol '%s' (1paxos|multipaxos|basicpaxos|2pc)\n",
+                   p.c_str());
+      return 2;
+    }
   }
-  const int ops_per_thread = positional.size() > 1 ? std::atoi(positional[1].c_str()) : 2000;
+  int ops_per_thread = 2000;
+  if (positional.size() > 1) {
+    const char* text = positional[1].c_str();
+    char* end = nullptr;
+    const long n = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || n < 1 || n > 1000000) {
+      std::fprintf(stderr, "bad op count '%s' (expected 1 <= num_ops <= 1000000)\n", text);
+      return 2;
+    }
+    ops_per_thread = static_cast<int>(n);
+  }
+  if (positional.size() > 2) {
+    std::fprintf(stderr, "unexpected argument '%s'\n", positional[2].c_str());
+    return 2;
+  }
   constexpr int kThreads = 4;
 
   kv::ReplicatedKv::Options opts;
-  opts.backend = harness::backend_from_args(argc, argv, core::Backend::kRt);
+  opts.backend = flags.backend;
   opts.spec.apply_backend_profile(opts.backend);
   opts.spec.protocol = protocol;
   opts.spec.num_replicas = 3;
   opts.num_sessions = kThreads;
-  opts.groups = harness::groups_from_args(argc, argv);
-  opts.placement = harness::placement_from_args(argc, argv);
-  opts.spec.engine.batch = harness::batch_policy_from_args(argc, argv);
-  opts.spec.workload.client_coalesce = harness::client_coalesce_from_args(argc, argv);
+  opts.groups = flags.groups;
+  opts.placement = flags.placement;
+  opts.spec.engine.batch = flags.batch;
+  opts.spec.workload.client_coalesce = flags.client_coalesce;
   // Only the Paxos-family leaders batch; silently reporting a batch size a
   // 2PC/Basic-Paxos run ignores would mislabel any numbers cut from this
   // output (the same silent-nonsense class --batch=0 is rejected for).

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/timeseries.hpp"
-#include "harness/cluster_harness.hpp"
+#include "harness/flags.hpp"
 #include "rt/rt_cluster.hpp"
 #include "sim/sim_cluster.hpp"
 
@@ -80,9 +80,10 @@ void run_protocol(Backend backend, Protocol protocol) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ci::harness::require_harness_flags_only(argc, argv, {"--backend"});
-  const ci::core::Backend backend =
-      ci::harness::backend_from_args(argc, argv, ci::core::Backend::kRt);
+  ci::harness::Flags flags;
+  flags.backend = ci::core::Backend::kRt;
+  ci::harness::parse_flags(argc, argv, {ci::harness::Flag::kBackend}, &flags);
+  const ci::core::Backend backend = flags.backend;
   std::printf("The paper's claim (Fig. 11 vs. the §2.2 experiment): a blocking\n"
               "protocol stalls on ANY slow replica; 1Paxos routes around it.\n"
               "backend: %s\n", ci::core::backend_name(backend));

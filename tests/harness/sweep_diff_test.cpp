@@ -31,27 +31,22 @@ RunPlan quota_plan() {
 }
 
 TEST(SweepDiff, MultiPaxosShapesAgreeAcrossBackends) {
-  const SweepDiff d = sweep_diff(ShardSpec(sweep_spec(Protocol::kMultiPaxos, 1)),
-                                 quota_plan());
+  const SweepDiffN d = sweep_diff({Backend::kSim, Backend::kRt},
+                                  ShardSpec(sweep_spec(Protocol::kMultiPaxos, 1)), quota_plan());
   for (const std::string& m : d.mismatches) ADD_FAILURE() << m;
   EXPECT_TRUE(d.ok());
-  EXPECT_EQ(d.sim.committed, d.rt.committed);  // quota: exact agreement
+  ASSERT_EQ(d.runs.size(), 2u);
+  EXPECT_EQ(d.runs[0].result.committed, d.runs[1].result.committed);  // quota: exact agreement
 }
 
 TEST(SweepDiff, BatchedOnePaxosShapesAgreeAcrossBackends) {
   // Batched 1Paxos crosses the codec's pooled-body path on both backends.
-  const SweepDiff d = sweep_diff(ShardSpec(sweep_spec(Protocol::kOnePaxos, 16)),
-                                 quota_plan());
+  const SweepDiffN d = sweep_diff({Backend::kSim, Backend::kRt},
+                                  ShardSpec(sweep_spec(Protocol::kOnePaxos, 16)), quota_plan());
   for (const std::string& m : d.mismatches) ADD_FAILURE() << m;
   EXPECT_TRUE(d.ok());
-  EXPECT_EQ(d.sim.committed, d.rt.committed);
-}
-
-TEST(SweepDiff, FlagIsRecognized) {
-  const char* argv_with[] = {"bin", "--sweep-diff"};
-  const char* argv_without[] = {"bin", "--backend=sim"};
-  EXPECT_TRUE(sweep_diff_from_args(2, const_cast<char**>(argv_with)));
-  EXPECT_FALSE(sweep_diff_from_args(2, const_cast<char**>(argv_without)));
+  ASSERT_EQ(d.runs.size(), 2u);
+  EXPECT_EQ(d.runs[0].result.committed, d.runs[1].result.committed);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(ThreeWaySweep, SimRtAndNetAgreeOnShape) {
   EXPECT_GT(net.total_bytes, 4 * net.total_messages);
 }
 
-TEST(ThreeWaySweep, LegacyTwoWayStillMapsSimAndRt) {
+TEST(ThreeWaySweep, TwoWaySimAndRt) {
   ClusterSpec o;
   o.protocol = Protocol::kOnePaxos;
   o.num_replicas = 3;
@@ -64,10 +64,11 @@ TEST(ThreeWaySweep, LegacyTwoWayStillMapsSimAndRt) {
   plan.duration = 20 * kSecond;
   plan.max_wall = 60 * kSecond;
 
-  const SweepDiff d = sweep_diff(ShardSpec(o), plan);
+  const SweepDiffN d = sweep_diff({Backend::kSim, Backend::kRt}, ShardSpec(o), plan);
   EXPECT_TRUE(d.ok());
-  EXPECT_EQ(d.sim.committed, 30u);
-  EXPECT_EQ(d.rt.committed, 30u);
+  ASSERT_EQ(d.runs.size(), 2u);
+  EXPECT_EQ(d.runs[0].result.committed, 30u);
+  EXPECT_EQ(d.runs[1].result.committed, 30u);
 }
 
 }  // namespace
