@@ -195,7 +195,7 @@ inline std::vector<double> run_timeseries(Backend backend, const ClusterSpec& sp
   if (backend == Backend::kSim) {
     sim::SimCluster c(spec);
     for (int i = 0; i < C; ++i) per_client.emplace_back(0, bucket, static_cast<std::size_t>(buckets));
-    for (int i = 0; i < C; ++i) c.mutable_client(i).set_commit_series(&per_client[static_cast<std::size_t>(i)]);
+    for (int i = 0; i < C; ++i) c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
     c.run(total);
   } else {
     core::ThreadedCluster c(backend, spec);

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   Flags flags;
   harness::parse_flags(argc, argv,
                        {Flag::kBatch, Flag::kBatchFlushUs, Flag::kFlushPolicy, Flag::kGroups,
-                        Flag::kPlacement},
+                        Flag::kPlacement, Flag::kPositionals},
                        &flags);
   Protocol protocol = Protocol::kMultiPaxos;
   std::vector<harness::Backend> backends;

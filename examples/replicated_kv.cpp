@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
                        {harness::Flag::kBackend, harness::Flag::kGroups,
                         harness::Flag::kPlacement, harness::Flag::kBatch,
                         harness::Flag::kBatchFlushUs, harness::Flag::kFlushPolicy,
-                        harness::Flag::kClientCoalesce, harness::Flag::kTxnMix},
+                        harness::Flag::kClientCoalesce, harness::Flag::kTxnMix,
+                        harness::Flag::kPositionals},
                        &flags);
   const double txn_mix = flags.txn_mix;
 

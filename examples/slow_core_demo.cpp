@@ -44,7 +44,7 @@ void run_protocol(Backend backend, Protocol protocol) {
   if (backend == Backend::kSim) {
     sim::SimCluster c(spec);
     for (int i = 0; i < C; ++i) per_client.emplace_back(0, kBucket, kBuckets);
-    for (int i = 0; i < C; ++i) c.mutable_client(i).set_commit_series(&per_client[static_cast<std::size_t>(i)]);
+    for (int i = 0; i < C; ++i) c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
     c.run(kBucket * kBuckets);
     committed = c.total_committed();
     consistent = c.consistent();

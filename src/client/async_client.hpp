@@ -5,9 +5,12 @@
 // One AsyncClientEngine occupies one node of one consensus group. The core
 // operation is submit(): queue a command, get a SubmitHandle completion
 // token back immediately. Blocking is a wrapper — execute() is
-// submit().wait(), flush() waits for everything in flight. Retarget/retry
-// behavior mirrors ClientEngine (§7.6): on timeout the request goes to the
-// next replica with the leader-suspect flag set.
+// submit().wait(), flush() waits for everything in flight. This is the one
+// piece of code that speaks the client wire protocol: seq stamping, reply
+// matching, leader-hint retargeting, the legacy-vs-kClientCmdBatch frame
+// choice, and the §7.6 retry — on timeout the request goes to the next
+// replica with the leader-suspect flag set. The closed-loop load generator
+// (closed_loop.hpp) drives one of these rather than repeating any of it.
 //
 // Backend bridging: under the real-thread runtime the hosting node's thread
 // drives the engine and waiters block on a condition variable. Under the
@@ -203,10 +206,15 @@ class AsyncClientEngine final : public Engine {
   // ---- Engine side (hosting node thread) ----
 
   void on_message(Context& ctx, const Message& m) override {
-    if (m.type != MsgType::kClientReply) return;
+    if (m.type == MsgType::kClientReply) on_reply(ctx, m);
+  }
+
+  // Completes the command `m` answers and follows its leader hint. Returns
+  // false for a stale reply: no command with that seq awaits one.
+  bool on_reply(Context& ctx, const Message& m) {
     std::lock_guard<std::mutex> lock(mu_);
     const std::int32_t slot = find_sent_locked(m.u.client_reply.seq);
-    if (slot < 0) return;
+    if (slot < 0) return false;
     if (m.u.client_reply.leader_hint != consensus::kNoNode) {
       target_ = m.u.client_reply.leader_hint;
     }
@@ -220,38 +228,33 @@ class AsyncClientEngine final : public Engine {
     }
     release_sent_locked(slot);
     done_cv_.notify_all();
+    return true;
+  }
+
+  // Sends every queued command now instead of on the next tick; a caller on
+  // the hosting node's thread (the closed loop) uses it to put a round on
+  // the wire inside the event that produced it.
+  void launch(Context& ctx) {
+    std::lock_guard<std::mutex> lock(mu_);
+    launch_locked(ctx, ctx.now());
   }
 
   void tick(Context& ctx) override {
     std::lock_guard<std::mutex> lock(mu_);
     const Nanos now = ctx.now();
-    // Launch queued commands from the hosting node's thread. Members of one
-    // run travel together in kClientCmdBatch frames; everything else goes
-    // as a legacy kClientRequest.
-    while (queued_count_ > 0) {
-      if (queued_front().run != 0) {
-        launch_chunk_locked(ctx, now, /*run=*/queued_front().run,
-                            consensus::kMaxClientBatchCommands);
-        continue;
-      }
-      if (cfg_.coalesce > 1) {
-        launch_chunk_locked(
-            ctx, now, /*run=*/0,
-            std::min(cfg_.coalesce, consensus::kMaxClientBatchCommands));
-        continue;
-      }
-      Pending p = pop_queued();
-      send_locked(ctx, p.cmd, /*suspect=*/false);
-      store_sent_locked(p.cmd, std::move(p.completion), now);
-    }
+    launch_locked(ctx, now);
     // Retry stragglers individually, in submission (seq) order; rotate the
     // target at most once per tick so several outstanding commands cannot
     // spin it around the ring.
     std::array<std::int32_t, kMaxOutstanding> overdue;
     std::int32_t n = 0;
-    for (std::int32_t i = 0; i < kMaxOutstanding; ++i) {
+    // Stop once every used slot has been seen: slots fill lowest-first, so
+    // a small window is found in its first few slots.
+    for (std::int32_t i = 0, seen = 0; i < kMaxOutstanding && seen < sent_count_; ++i) {
       Sent& f = sent_[static_cast<std::size_t>(i)];
-      if (!f.used || now - f.last_sent < cfg_.request_timeout) continue;
+      if (!f.used) continue;
+      ++seen;
+      if (now - f.last_sent < cfg_.request_timeout) continue;
       // Insertion sort by seq: the window is 64 slots and usually nearly
       // ordered, so this stays cheap and allocation-free.
       std::int32_t j = n++;
@@ -263,16 +266,21 @@ class AsyncClientEngine final : public Engine {
       }
       overdue[static_cast<std::size_t>(j)] = i;
     }
-    bool rotated = false;
+    if (n > 0) {
+      target_ = (target_ + 1) % cfg_.base.num_replicas;
+      ++retries_;
+    }
     for (std::int32_t k = 0; k < n; ++k) {
       Sent& f = sent_[static_cast<std::size_t>(overdue[static_cast<std::size_t>(k)])];
-      if (!rotated) {
-        target_ = (target_ + 1) % cfg_.base.num_replicas;
-        rotated = true;
-      }
       f.last_sent = now;
       send_locked(ctx, f.cmd, /*suspect=*/true);
     }
+  }
+
+  // Target rotations so far: one per tick that found a command overdue.
+  std::uint64_t retries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return retries_;
   }
 
   NodeId believed_leader() const override { return target_; }
@@ -377,6 +385,28 @@ class AsyncClientEngine final : public Engine {
     return handle;
   }
 
+  // Members of one run travel together in kClientCmdBatch frames; plain
+  // commands go as a legacy kClientRequest, or in coalesced chunks when
+  // cfg_.coalesce > 1.
+  void launch_locked(Context& ctx, Nanos now) {
+    while (queued_count_ > 0) {
+      if (queued_front().run != 0) {
+        launch_chunk_locked(ctx, now, /*run=*/queued_front().run,
+                            consensus::kMaxClientBatchCommands);
+        continue;
+      }
+      if (cfg_.coalesce > 1) {
+        launch_chunk_locked(
+            ctx, now, /*run=*/0,
+            std::min(cfg_.coalesce, consensus::kMaxClientBatchCommands));
+        continue;
+      }
+      Pending p = pop_queued();
+      send_locked(ctx, p.cmd, /*suspect=*/false);
+      store_sent_locked(p.cmd, std::move(p.completion), now);
+    }
+  }
+
   // The front of the queue starts a chunk: peel up to `window` consecutive
   // commands with the same run id (run 0 = plain commands under coalescing)
   // and ship them in one kClientCmdBatch frame. A chunk of one keeps the
@@ -443,6 +473,7 @@ class AsyncClientEngine final : public Engine {
   // Recycled Completion objects (see release_sent_locked).
   std::vector<std::shared_ptr<SubmitHandle::Completion>> spare_;
   std::uint32_t latest_epoch_ = 0;  // newest nonzero reply epoch
+  std::uint64_t retries_ = 0;
 };
 
 inline bool SubmitHandle::done() const {

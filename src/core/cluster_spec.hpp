@@ -10,6 +10,7 @@
 // this through core::Deployment.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -153,6 +154,22 @@ struct FaultPlan {
     return *this;
   }
 };
+
+// The one slow-window rule: the slowdown `node` runs at `t` into the run is
+// the largest factor among its kSlowNode windows [at, until) open at t, 1
+// when none is. Overlapping windows compose by max, so healing one window
+// cannot erase another. The simulator scales its costs by this factor as
+// is; the threaded transports round it to a stall factor (slow_factor_at).
+inline double slow_window_factor(const std::vector<FaultEvent>& events, consensus::NodeId node,
+                                 Nanos t) {
+  double factor = 1.0;
+  for (const FaultEvent& e : events) {
+    if (e.kind == FaultEvent::Kind::kSlowNode && e.node == node && t >= e.at && t < e.until) {
+      factor = std::max(factor, e.factor);
+    }
+  }
+  return factor;
+}
 
 // Simulator-only parameters.
 struct SimParams {

@@ -7,7 +7,6 @@
 
 namespace ci::core {
 
-using consensus::ClientConfig;
 using consensus::Command;
 using consensus::EngineConfig;
 using consensus::NodeId;
@@ -41,14 +40,14 @@ Deployment::Deployment(const ClusterSpec& spec, bool auto_start_clients)
 
   for (std::int32_t c = 0; c < C; ++c) {
     const NodeId self = spec_.joint ? c : R + c;
-    ClientConfig cc;
-    cc.base = base_cfg(self);
-    cc.initial_target = 0;  // the paper's clients start at core 0
-    cc.request_timeout = spec_.workload.request_timeout;
+    client::ClosedLoopConfig cc;
+    cc.engine.base = base_cfg(self);
+    cc.engine.initial_target = 0;  // the paper's clients start at core 0
+    cc.engine.request_timeout = spec_.workload.request_timeout;
+    cc.engine.coalesce = spec_.workload.client_coalesce;
     cc.think_time = spec_.workload.think_time;
     cc.read_fraction = spec_.workload.read_fraction;
     cc.total_requests = spec_.workload.requests_per_client;
-    cc.coalesce = spec_.workload.client_coalesce;
     cc.auto_start = auto_start_clients;
     if (spec_.joint && spec_.joint_local_reads && spec_.protocol == Protocol::kTwoPc) {
       auto* replica =
@@ -62,7 +61,7 @@ Deployment::Deployment(const ClusterSpec& spec, bool auto_start_clients)
         return true;
       };
     }
-    clients_.push_back(std::make_unique<consensus::ClientEngine>(cc));
+    clients_.push_back(std::make_unique<client::ClosedLoopClient>(cc));
     client_node_ids_.push_back(self);
   }
 

@@ -1,10 +1,11 @@
 // The shared deployment builder: turns a ClusterSpec into wired engines.
 //
-// Both backends used to duplicate this — SimCluster::build() and RtCluster's
-// constructor each created state machines, replica engines, client engines,
-// the 2PC-Joint local-read hook, and joint co-location. Deployment does it
-// once; SimCluster and core::ThreadedCluster only attach the result to
-// their transport (SimNet vs a ThreadedMesh) and drive time.
+// It creates the state machines, the replica engines, one closed-loop
+// client per spec client (client::ClosedLoopClient: the §7.1 load
+// generator over the one client engine, client::AsyncClientEngine), the
+// 2PC-Joint local-read hook, and joint co-location. SimCluster and
+// core::ThreadedCluster only attach the result to their transport (SimNet
+// vs a ThreadedMesh) and drive time.
 //
 // Node id layout (shared by both backends):
 //   * separate:  replicas 0..R-1, clients R..R+C-1
@@ -18,7 +19,7 @@
 #include <memory>
 #include <vector>
 
-#include "consensus/client.hpp"
+#include "client/closed_loop.hpp"
 #include "consensus/state_machine.hpp"
 #include "core/cluster_spec.hpp"
 #include "core/run_result.hpp"
@@ -149,10 +150,7 @@ class Deployment {
   consensus::StateMachine* state_machine(consensus::NodeId r) {
     return sms_[static_cast<std::size_t>(r)].get();
   }
-  consensus::ClientEngine* client(std::int32_t i) {
-    return clients_[static_cast<std::size_t>(i)].get();
-  }
-  const consensus::ClientEngine* client(std::int32_t i) const {
+  client::ClosedLoopClient* client(std::int32_t i) {
     return clients_[static_cast<std::size_t>(i)].get();
   }
   std::int32_t client_count() const { return static_cast<std::int32_t>(clients_.size()); }
@@ -180,7 +178,7 @@ class Deployment {
   ClusterSpec spec_;
   std::vector<std::unique_ptr<consensus::StateMachine>> sms_;  // one per replica
   std::vector<std::unique_ptr<consensus::Engine>> replicas_;      // protocol engines
-  std::vector<std::unique_ptr<consensus::ClientEngine>> clients_;
+  std::vector<std::unique_ptr<client::ClosedLoopClient>> clients_;
   std::vector<std::unique_ptr<consensus::Engine>> joint_engines_;
   std::vector<consensus::Engine*> node_order_;  // what the transport hosts
   std::vector<consensus::NodeId> client_node_ids_;

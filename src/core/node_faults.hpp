@@ -80,20 +80,12 @@ class NodeFaults {
 };
 
 // The stall factor `node` (a group-local id) should run at `elapsed` into
-// the run: the max over every kSlowNode window active then (mirroring
-// SimNet::speed_factor), so overlapping windows compose and healing one
-// window cannot erase another. Rounded to an integer, and a factor above 1
+// the run: slow_window_factor rounded to an integer, where a factor above 1
 // never rounds down to the healthy sentinel (stall granularity is
 // (factor-1) x 500ns).
 inline std::uint32_t slow_factor_at(const FaultPlan& plan, consensus::NodeId node,
                                     Nanos elapsed) {
-  double factor = 1.0;
-  for (const FaultEvent& e : plan.events) {
-    if (e.kind == FaultEvent::Kind::kSlowNode && e.node == node && elapsed >= e.at &&
-        elapsed < e.until) {
-      factor = std::max(factor, e.factor);
-    }
-  }
+  const double factor = slow_window_factor(plan.events, node, elapsed);
   return factor <= 1.0 ? 1u : std::max(2u, static_cast<std::uint32_t>(factor + 0.5));
 }
 

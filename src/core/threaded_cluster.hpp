@@ -147,7 +147,7 @@ class ThreadedCluster {
   ShardedDeployment& sharded() { return dep_; }
   std::int32_t num_groups() const { return dep_.num_groups(); }
   Deployment& deployment() { return dep_.group(0); }
-  consensus::ClientEngine* client(std::int32_t i) { return dep_.group(0).client(i); }
+  client::ClosedLoopClient* client(std::int32_t i) { return dep_.group(0).client(i); }
   std::int32_t client_count() const { return dep_.group(0).client_count(); }
   bool clients_done() const { return dep_.clients_done(); }
 

@@ -36,13 +36,19 @@ RunResult run_threaded_backend(Backend b, const ShardSpec& shard, const RunPlan&
   core::ThreadedCluster c(b, shard);
   c.start();
   const Nanos t0 = now_nanos();
-  c.drive_until(t0 + plan.warmup);
-  const std::uint64_t committed_warm = c.live_committed();
-  const std::uint64_t issued_warm = c.live_issued();
-  const std::uint64_t local_reads_warm = c.live_local_reads();
-  const std::uint64_t messages_warm = c.live_messages();
-  const std::uint64_t bytes_warm = c.live_bytes();
-  const Nanos measure_start = now_nanos();
+  // Without a warmup the window opens at start() from zero: a snapshot
+  // taken after start() races the clients' first commits out of the result.
+  std::uint64_t committed_warm = 0, issued_warm = 0, local_reads_warm = 0;
+  std::uint64_t messages_warm = 0, bytes_warm = 0;
+  if (plan.warmup > 0) {
+    c.drive_until(t0 + plan.warmup);
+    committed_warm = c.live_committed();
+    issued_warm = c.live_issued();
+    local_reads_warm = c.live_local_reads();
+    messages_warm = c.live_messages();
+    bytes_warm = c.live_bytes();
+  }
+  const Nanos measure_start = plan.warmup > 0 ? now_nanos() : t0;
   c.drive_until(t0 + std::min(plan.warmup + plan.duration, plan.max_wall));
   const Nanos measured = std::max<Nanos>(now_nanos() - measure_start, 1);
   c.stop();

@@ -231,6 +231,11 @@ bool try_parse_flags(int argc, char** argv, const std::vector<Flag>& consumed, F
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (arg[0] != '-') {
+      if (!consumes(consumed, Flag::kPositionals)) {
+        *err = "unexpected argument '" + std::string(arg) +
+               "': this binary takes no positional arguments " + accepted(consumed);
+        return false;
+      }
       out->positionals.emplace_back(arg);
       continue;
     }

@@ -9,8 +9,10 @@
 // Flags take `--name=value` or `--name value` form; the last occurrence
 // wins. A binary lists the flags it reads; any other flag — unknown, or
 // known but not read by this binary — exits 2, so a typo or a knob the
-// binary ignores never silently runs the default configuration. `--help`
-// prints the binary's flags (generated from the table) and exits 0.
+// binary ignores never silently runs the default configuration. The same
+// holds for non-dash words: only a binary that lists Flag::kPositionals
+// takes them. `--help` prints the binary's flags (generated from the table)
+// and exits 0.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +45,7 @@ enum class Flag {
   kNetIoThreads,    // --net-io-threads=N (NetParams::io_threads)
   kSweepDiff,       // --sweep-diff
   kHelp,            // --help (always accepted)
+  kPositionals,     // takes non-dash arguments (listed only; no table row)
 };
 
 // Every value the command line can set, in its natural type. A flag absent
@@ -60,13 +63,14 @@ struct Flags {
   core::NetParams net;  // loopback ephemeral registry and ports, self-flushing nodes
   bool sweep_diff = false;
   bool help = false;
-  std::vector<std::string> positionals;  // non-dash arguments, in order
+  std::vector<std::string> positionals;  // non-dash arguments, in order (kPositionals)
 };
 
 // Walks argv once into *out. Returns false with a message naming the flag
 // (and its expected shape and bounds) on an unknown flag, a flag not in
-// `consumed`, a missing value, or a value the table rejects. Stops at
-// `--help`, setting out->help.
+// `consumed`, a missing value, a value the table rejects, or a non-dash
+// word when `consumed` lacks kPositionals. Stops at `--help`, setting
+// out->help.
 bool try_parse_flags(int argc, char** argv, const std::vector<Flag>& consumed, Flags* out,
                      std::string* err);
 

@@ -8,7 +8,6 @@
 
 namespace ci::net {
 
-using consensus::ClientEngine;
 using core::ClusterSpec;
 using core::RunResult;
 using core::ShardSpec;

@@ -9,7 +9,6 @@
 
 namespace ci::rt {
 
-using consensus::ClientEngine;
 using consensus::GroupId;
 using core::ClusterSpec;
 using core::Protocol;

@@ -25,7 +25,6 @@
 
 namespace ci::sim {
 
-using consensus::ClientEngine;
 using consensus::GroupId;
 using core::ClusterSpec;
 using core::Protocol;
@@ -70,8 +69,7 @@ class SimCluster {
   std::uint64_t total_issued() const { return dep_.total_issued(); }
   Histogram merged_latency() const { return dep_.merged_latency(); }
   double throughput_ops_per_sec(Nanos duration) const;
-  const ClientEngine& client(std::int32_t i) const { return *dep_.group(0).client(i); }
-  ClientEngine& mutable_client(std::int32_t i) { return *dep_.group(0).client(i); }
+  client::ClosedLoopClient* client(std::int32_t i) { return dep_.group(0).client(i); }
   std::int32_t client_count() const { return dep_.group(0).client_count(); }
 
   bool consistent() const { return dep_.consistent(); }

@@ -43,12 +43,13 @@ void SimNet::add_node(Engine* engine) {
 
 void SimNet::slow_node(NodeId node, Nanos from, Nanos to, double factor) {
   CI_CHECK(factor >= 1.0);
-  nodes_[static_cast<std::size_t>(node)]->slow_windows.emplace_back(from, to, factor);
+  nodes_[static_cast<std::size_t>(node)]->slow_windows.push_back(
+      {core::FaultEvent::Kind::kSlowNode, node, from, to, factor});
 }
 
 void SimNet::heal_node(NodeId node, Nanos t) {
-  for (auto& [from, to, factor] : nodes_[static_cast<std::size_t>(node)]->slow_windows) {
-    if (from <= t && to > t) to = t;  // only windows open at t; future ones stand
+  for (core::FaultEvent& w : nodes_[static_cast<std::size_t>(node)]->slow_windows) {
+    if (w.at <= t && w.until > t) w.until = t;  // only windows open at t; future ones stand
   }
 }
 
@@ -73,14 +74,6 @@ void SimNet::schedule_call(Nanos t, NodeId node, std::function<void()> fn) {
   e.node = node;
   e.call = std::move(fn);
   push_event(std::move(e));
-}
-
-double SimNet::speed_factor(const NodeCtx& n, Nanos t) const {
-  double f = 1.0;
-  for (const auto& [from, to, factor] : n.slow_windows) {
-    if (t >= from && t < to) f = std::max(f, factor);
-  }
-  return f;
 }
 
 void SimNet::push_event(Event e) {
@@ -117,7 +110,7 @@ void SimNet::send_from(NodeCtx& src, NodeId dst, const Message& m) {
     push_event(std::move(e));
     return;
   }
-  const double f = speed_factor(src, src.busy_until);
+  const double f = core::slow_window_factor(src.slow_windows, src.id_, src.busy_until);
   const std::size_t frame_bytes = wire::frame_size(m);
   // trans_send is the per-message cost; per_byte_cost (off by default) adds
   // the bandwidth term from the frame size the codec reports. Both are CPU
@@ -154,7 +147,7 @@ void SimNet::process(Event& e) {
   switch (e.kind) {
     case Event::Kind::kMessage: {
       const Nanos t0 = std::max(e.time, n.busy_until);
-      const double f = speed_factor(n, t0);
+      const double f = core::slow_window_factor(n.slow_windows, n.id_, t0);
       n.busy_until = t0 + static_cast<Nanos>(
                               static_cast<double>(model_.trans_recv + model_.handler_cost) * f);
       n.logical_now = n.busy_until;

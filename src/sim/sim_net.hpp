@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "consensus/engine.hpp"
+#include "core/cluster_spec.hpp"
 #include "core/latency_model.hpp"
 
 namespace ci::sim {
@@ -133,7 +134,7 @@ class SimNet {
     Nanos logical_now = 0;
     std::uint64_t sent = 0;
     std::uint64_t sent_bytes = 0;
-    std::vector<std::tuple<Nanos, Nanos, double>> slow_windows;
+    std::vector<core::FaultEvent> slow_windows;  // this node's kSlowNode windows
     // Clock skew (stretch_clock): perceived = seen + (virtual - real) * rate.
     Nanos skew_anchor_real = 0;
     Nanos skew_anchor_seen = 0;
@@ -141,7 +142,6 @@ class SimNet {
   };
 
   void send_from(NodeCtx& src, NodeId dst, const Message& m);
-  double speed_factor(const NodeCtx& n, Nanos t) const;
   void push_event(Event e);
   void process(Event& e);
   std::unique_ptr<unsigned char[]> acquire_frame();

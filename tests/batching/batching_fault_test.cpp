@@ -67,7 +67,7 @@ TEST_P(BatchedSlowLeader, NoAckedCommandLostAcrossTheTakeover) {
   }
   for (std::int32_t i = 0; i < c.client_count(); ++i) {
     const consensus::NodeId client_node = o.num_replicas + i;
-    const std::uint64_t committed = c.client(i).committed();
+    const std::uint64_t committed = c.client(i)->committed();
     EXPECT_GT(committed, 0u);
     for (std::uint32_t s = 1; s <= committed; ++s) {
       EXPECT_TRUE(decided.count({client_node, s}))

@@ -1,6 +1,8 @@
-// Client engine semantics: closed loop, think time, re-targeting with the
-// suspect flag, local-read hook, and stop/start control.
-#include "consensus/client.hpp"
+// The one client engine's semantics. The closed-loop driver: closed loop,
+// think time, re-targeting with the suspect flag, local-read hook, and
+// stop/start control. The same retarget, leader-hint and stale-reply rules
+// once more through AsyncClientEngine::submit(), with exact retry counts.
+#include "client/closed_loop.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,8 +10,11 @@
 
 #include "support/fake_net.hpp"
 
-namespace ci::consensus {
+namespace ci::client {
 namespace {
+
+using consensus::kFlagLeaderSuspect;
+using consensus::ProtoId;
 
 using test::FakeNet;
 
@@ -43,18 +48,18 @@ struct ClientHarness {
       replicas.push_back(std::make_unique<EchoReplica>());
       net.add(replicas.back().get());
     }
-    ClientConfig cfg;
-    cfg.base.self = 3;
-    cfg.base.num_replicas = 3;
-    cfg.base.seed = 17;
-    cfg.initial_target = 0;
+    ClosedLoopConfig cfg;
+    cfg.engine.base.self = 3;
+    cfg.engine.base.num_replicas = 3;
+    cfg.engine.base.seed = 17;
+    cfg.engine.initial_target = 0;
+    cfg.engine.request_timeout = 1 * kMillisecond;
     cfg.total_requests = total;
     cfg.think_time = think;
     cfg.read_fraction = reads;
-    cfg.request_timeout = 1 * kMillisecond;
     cfg.auto_start = false;
     cfg.local_read = std::move(local);
-    client = std::make_unique<ClientEngine>(cfg);
+    client = std::make_unique<ClosedLoopClient>(cfg);
     net.add(client.get());
     net.start_all();
   }
@@ -68,7 +73,7 @@ struct ClientHarness {
 
   FakeNet net;
   std::vector<std::unique_ptr<EchoReplica>> replicas;
-  std::unique_ptr<ClientEngine> client;
+  std::unique_ptr<ClosedLoopClient> client;
 };
 
 TEST(Client, WaitsForStartMessage) {
@@ -141,6 +146,7 @@ TEST(Client, FollowsLeaderHintFromReply) {
   // Subsequent requests go straight to replica 1 (the hint).
   EXPECT_GE(h.replicas[1]->requests, 2);
   EXPECT_EQ(h.client->believed_leader(), 1);
+  EXPECT_EQ(h.client->retries(), 1u);
 }
 
 TEST(Client, ThinkTimeDelaysNextRequest) {
@@ -209,7 +215,99 @@ TEST(Client, StaleRepliesIgnored) {
   h.net.inject(stale);
   h.net.step();
   EXPECT_EQ(h.client->committed(), 0u);
+  EXPECT_EQ(h.client->retries(), 0u);
+}
+
+// The same three rules driven through submit(): the engine alone, hosted on
+// node 3, with no closed loop around it.
+struct SubmitHarness {
+  SubmitHarness() {
+    for (int r = 0; r < 3; ++r) {
+      replicas.push_back(std::make_unique<EchoReplica>());
+      net.add(replicas.back().get());
+    }
+    AsyncClientConfig cfg;
+    cfg.base.self = 3;
+    cfg.base.num_replicas = 3;
+    cfg.initial_target = 0;
+    cfg.request_timeout = 1 * kMillisecond;
+    engine = std::make_unique<AsyncClientEngine>(cfg);
+    net.add(engine.get());
+    net.start_all();
+  }
+
+  FakeNet net;
+  std::vector<std::unique_ptr<EchoReplica>> replicas;
+  std::unique_ptr<AsyncClientEngine> engine;
+};
+
+TEST(Client, SubmitRetargetsWithSuspectFlagOnTimeout) {
+  SubmitHarness h;
+  h.replicas[0]->mute = true;
+  SubmitHandle a = h.engine->submit(Op::kWrite, 1, 1);
+  SubmitHandle b = h.engine->submit(Op::kWrite, 2, 2);
+  h.net.tick_all();  // launches both to replica 0
+  h.net.run();
+  EXPECT_EQ(h.replicas[0]->requests, 2);
+  h.net.tick_all();  // before the timeout: no retry
+  h.net.run();
+  EXPECT_EQ(h.replicas[1]->requests, 0);
+  EXPECT_EQ(h.engine->retries(), 0u);
+  // Both commands are overdue in the same tick: each is resent to replica 1
+  // with the suspect flag, but the target rotates once and that counts as
+  // one retry.
+  h.net.advance(2 * kMillisecond);
+  h.net.run();
+  EXPECT_EQ(h.replicas[1]->requests, 2);
+  EXPECT_EQ(h.replicas[1]->first_flags, kFlagLeaderSuspect);
+  EXPECT_EQ(h.replicas[1]->last_flags, kFlagLeaderSuspect);
+  EXPECT_TRUE(a.done());
+  EXPECT_TRUE(b.done());
+  EXPECT_EQ(h.engine->retries(), 1u);
+  // Nothing is left overdue, so later ticks neither resend nor count.
+  h.net.advance(2 * kMillisecond);
+  h.net.run();
+  EXPECT_EQ(h.replicas[1]->requests, 2);
+  EXPECT_EQ(h.engine->retries(), 1u);
+}
+
+TEST(Client, SubmitFollowsLeaderHintFromReply) {
+  SubmitHarness h;
+  h.replicas[0]->mute = true;
+  SubmitHandle a = h.engine->submit(Op::kWrite, 1, 1);
+  h.net.tick_all();
+  h.net.advance(2 * kMillisecond);  // timeout -> replica 1 answers
+  h.net.run();
+  ASSERT_TRUE(a.done());
+  EXPECT_EQ(h.engine->believed_leader(), 1);
+  // The next command goes straight to replica 1 (the hint), unflagged.
+  SubmitHandle b = h.engine->submit(Op::kWrite, 2, 2);
+  h.net.tick_all();
+  h.net.run();
+  EXPECT_TRUE(b.done());
+  EXPECT_EQ(h.replicas[1]->requests, 2);
+  EXPECT_EQ(h.replicas[1]->last_flags, 0);
+  EXPECT_EQ(h.engine->retries(), 1u);
+}
+
+TEST(Client, SubmitStaleRepliesIgnored) {
+  SubmitHarness h;
+  SubmitHandle a = h.engine->submit(Op::kWrite, 1, 1);
+  // A reply for a seq nothing awaits completes nothing and moves no target.
+  Message stale(MsgType::kClientReply, ProtoId::kClient, 2, 3);
+  stale.u.client_reply.seq = 999;
+  stale.u.client_reply.leader_hint = 2;
+  EXPECT_FALSE(h.engine->on_reply(h.net.ctx(3), stale));
+  h.net.inject(stale);
+  h.net.step();
+  EXPECT_FALSE(a.done());
+  EXPECT_EQ(h.engine->believed_leader(), 0);
+  EXPECT_EQ(h.engine->retries(), 0u);
+  h.net.tick_all();
+  h.net.run();
+  EXPECT_TRUE(a.done());
+  EXPECT_EQ(h.replicas[0]->requests, 1);
 }
 
 }  // namespace
-}  // namespace ci::consensus
+}  // namespace ci::client

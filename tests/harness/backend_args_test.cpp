@@ -72,6 +72,11 @@ std::string field(const Flags& f, Flag id) {
       return f.sweep_diff ? "true" : "false";
     case Flag::kHelp:
       return f.help ? "true" : "false";
+    case Flag::kPositionals: {
+      std::string words;
+      for (const std::string& w : f.positionals) words += (words.empty() ? "" : " ") + w;
+      return words;
+    }
   }
   return "?";
 }
@@ -259,6 +264,16 @@ const std::vector<Case> kCases = {
         "unknown flag '--txnmix=0.5' (this binary reads: --txn-mix, --help)"),
     bad({"--colocated"}, {Flag::kPlacement}, "unknown flag"),
     bad({"-x"}, {Flag::kBackend}, "unknown flag '-x'"),
+
+    // Positionals: a stray word is an error unless the binary takes them
+    // (`fig9_replication_degree rt` must not silently run sim), and a
+    // space-form value is the flag's, not a positional.
+    bad({"rt"}, {}, "unexpected argument 'rt': this binary takes no positional arguments"),
+    bad({"--backend", "rt", "net"}, {Flag::kBackend}, "unexpected argument 'net'"),
+    bad({"multipaxos", "--backend=rt"}, {Flag::kBackend},
+        "unexpected argument 'multipaxos'"),
+    ok({"multipaxos", "--backend", "rt", "300"}, {Flag::kPositionals, Flag::kBackend},
+       "multipaxos 300"),
     // The four open-loop knobs the table dropped are unknown now.
     bad({"--target-rate=1000"}, {Flag::kSessions}, "unknown flag"),
     bad({"--zipf=0.9"}, {Flag::kSessions}, "unknown flag"),
@@ -318,7 +333,8 @@ TEST(Flags, PositionalsSkipFlagsAndTheirSpaceFormValues) {
       a.argc(), a.argv(),
       {Flag::kBackend, Flag::kGroups, Flag::kPlacement, Flag::kBatch, Flag::kBatchFlushUs,
        Flag::kClientCoalesce, Flag::kTxnMix, Flag::kReadMix, Flag::kLeaseMs, Flag::kSessions,
-       Flag::kFlushPolicy, Flag::kNetPortBase, Flag::kNetRegistry, Flag::kNetIoThreads},
+       Flag::kFlushPolicy, Flag::kNetPortBase, Flag::kNetRegistry, Flag::kNetIoThreads,
+       Flag::kPositionals},
       &f, &err))
       << err;
   EXPECT_EQ(f.positionals, (std::vector<std::string>{"multipaxos", "300", "keep"}));
@@ -390,7 +406,7 @@ TEST(Flags, UnconsumedFlagBesidePositionalsExitsTwo) {
   EXPECT_EXIT(parse_flags(a.argc(), a.argv(),
                           {Flag::kBackend, Flag::kGroups, Flag::kPlacement, Flag::kBatch,
                            Flag::kBatchFlushUs, Flag::kFlushPolicy, Flag::kClientCoalesce,
-                           Flag::kTxnMix},
+                           Flag::kTxnMix, Flag::kPositionals},
                           &f),
               ::testing::ExitedWithCode(2), "flag '--lease-ms' is not used by this binary");
 }
