@@ -207,7 +207,12 @@ bool wire_validate(const Message& m, std::size_t bytes) {
       if (!batch_count_ok(m.u.phase2_batch_acked.count)) return false;
       break;
     case MsgType::kPhase1BatchResp:
-      if (!batch_count_ok(m.u.phase1_batch_resp.count)) return false;
+      // The one batched frame that may carry a single command: the overflow
+      // of a full Phase1Resp array.
+      if (m.u.phase1_batch_resp.count < 1 ||
+          m.u.phase1_batch_resp.count > kMaxCommandsPerBatch) {
+        return false;
+      }
       break;
     case MsgType::kOpxBatchAcceptReq:
       if (!batch_count_ok(m.u.opx_batch_accept_req.count)) return false;

@@ -325,9 +325,10 @@ struct Phase2BatchAcked {
   CommandRun run;
 };
 
-// Recovery sidecar: one batched accepted-but-undecided instance reported
-// during a Multi-Paxos takeover (single-command entries stay inline in the
-// main Phase1Resp).
+// Recovery sidecar: one accepted (or learned) instance reported during a
+// Multi-Paxos takeover. Batched values always ride here; single-command
+// values ride inline in the main Phase1Resp until its array is full, and
+// the overflow rides here too, so a sidecar may carry a single command.
 struct Phase1BatchResp {
   ProposalNum pn;           // the promised ballot (echo, matches the main resp)
   ProposalNum accepted_pn;  // ballot this batch was accepted at

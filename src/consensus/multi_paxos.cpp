@@ -1,10 +1,22 @@
 #include "consensus/multi_paxos.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace ci::consensus {
 
 namespace {
+
+// The ballot a phase-1 report gives a value its acceptor has learned: above
+// every real ballot, because a decided value is the only one any later
+// ballot may choose at that instance.
+constexpr ProposalNum kDecidedPn{std::numeric_limits<std::int64_t>::max(), kNoNode};
+
+// Single-command values a phase-1 response carries inline: the default
+// pipeline window, which an honest leader stays within. The rest ride
+// sidecars, so the main frame always fits the paper's 7-slot rt queue (a
+// full kMaxProposalsPerMsg array does not).
+constexpr std::int32_t kInlineReports = kMaxProposalsPerMsg / 2;
 
 std::uint64_t client_key(const Command& cmd) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cmd.client)) << 32) | cmd.seq;
@@ -357,28 +369,34 @@ void MultiPaxosEngine::handle_phase1_req(Context& ctx, const Message& m) {
     if (leader_ && !(pn == my_ballot_)) step_down(ctx, pn.node);
     Message resp(MsgType::kPhase1Resp, ProtoId::kMultiPaxos, cfg_.base.self, m.src);
     resp.u.phase1_resp.pn = pn;
-    // Each kind fills to its own cap so a glut of one cannot truncate the
-    // other. (The caps themselves are a pre-existing bound: an undecided
-    // window can only exceed them after pathological handover chains, and
-    // pipeline_window keeps honest leaders far below.)
+    // Report every value this acceptor accepted at or past the candidate's
+    // first gap, including the ones it has since learned (learn() drops
+    // them from accepted_): a phase-1 quorum may meet a value's acceptance
+    // quorum only at a learner. Learned values carry kDecidedPn, so they
+    // outrank any other report for their instance. Nothing is left out:
+    // what the inline array does not take rides sidecars, which the main
+    // response counts.
     std::int32_t n = 0;
     std::int32_t nb = 0;
-    for (const auto& [in, acc] : accepted_) {
-      if (in < m.u.phase1_req.from_instance) continue;
-      if (acc.value.size() == 1) {
-        if (n >= kMaxProposalsPerMsg) continue;
-        resp.u.phase1_resp.proposals[n++] = Proposal{in, acc.pn, acc.value.front()};
-      } else {
-        // Batched values travel as sidecars ahead of the main response.
-        if (nb >= kMaxProposalsPerMsg) continue;
-        Message side(MsgType::kPhase1BatchResp, ProtoId::kMultiPaxos, cfg_.base.self, m.src);
-        side.u.phase1_batch_resp.pn = pn;
-        side.u.phase1_batch_resp.accepted_pn = acc.pn;
-        side.u.phase1_batch_resp.instance = in;
-        side.u.phase1_batch_resp.count = side.u.phase1_batch_resp.run.pack(acc.value);
-        ctx.send(m.src, side);
-        nb++;
+    const auto report = [&](Instance in, ProposalNum apn, const Batch& value) {
+      if (value.size() == 1 && n < kInlineReports) {
+        resp.u.phase1_resp.proposals[n++] = Proposal{in, apn, value.front()};
+        return;
       }
+      Message side(MsgType::kPhase1BatchResp, ProtoId::kMultiPaxos, cfg_.base.self, m.src);
+      side.u.phase1_batch_resp.pn = pn;
+      side.u.phase1_batch_resp.accepted_pn = apn;
+      side.u.phase1_batch_resp.instance = in;
+      side.u.phase1_batch_resp.count = side.u.phase1_batch_resp.run.pack(value);
+      ctx.send(m.src, side);
+      nb++;
+    };
+    for (Instance in = std::max<Instance>(m.u.phase1_req.from_instance, 0); in < log_.end();
+         ++in) {
+      if (const Batch* b = log_.get_batch(in)) report(in, kDecidedPn, *b);
+    }
+    for (const auto& [in, acc] : accepted_) {
+      if (in >= m.u.phase1_req.from_instance) report(in, acc.pn, acc.value);
     }
     resp.u.phase1_resp.num_proposals = n;
     resp.u.phase1_resp.num_batched = nb;

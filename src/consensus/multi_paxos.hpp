@@ -6,7 +6,8 @@
 // Acceptors broadcast their acceptance to every replica; a value is learned
 // once a majority of acceptors accepted it. Followers detect a silent
 // leader via heartbeat timeouts and take over with a higher ballot, running
-// phase 1 over the un-decided window.
+// phase 1 from their first unlearned instance: acceptors report what they
+// accepted and what they learned from there on.
 //
 // `acceptor_count` (default: all replicas) shrinks the acceptor set for the
 // acceptor-replication ablation (DESIGN.md A2): with k acceptors a value

@@ -43,7 +43,7 @@ bool run_view(Message& m, RunView* v) {
       return true;
     case MsgType::kPhase1BatchResp:
       *v = {offsetof(consensus::Phase1BatchResp, run), &m.u.phase1_batch_resp.run,
-            m.u.phase1_batch_resp.count};
+            m.u.phase1_batch_resp.count, /*min_count=*/1, kMaxCommandsPerBatch};
       return true;
     case MsgType::kOpxBatchAcceptReq:
       *v = {offsetof(consensus::OpxBatchAcceptReq, run), &m.u.opx_batch_accept_req.run,

@@ -1,7 +1,7 @@
 // Per-node fault and clock controls for the threaded transports: the one
-// copy both rt::RtNode and net::NetNode hold by value, plus the pure rule
-// that turns a FaultPlan's slow windows into a node's stall factor and the
-// poller that applies a plan at wall-clock offsets.
+// copy core::NodeLoop holds by value for rt::RtNode and net::NetNode alike,
+// plus the pure rule that turns a FaultPlan's slow windows into a node's
+// stall factor and the poller that applies a plan at wall-clock offsets.
 //
 // NodeFaults is read on every message a node processes, so everything on
 // it is inline and relaxed-atomic: no virtual call, and a healthy node pays

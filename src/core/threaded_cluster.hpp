@@ -10,8 +10,9 @@
 //   * ThreadedMesh is the transport seam. It builds and owns the backing
 //     (a qclt::Network, or a Registry + optional IoPool) and one node
 //     thread per engine, and exposes the per-node controls. It is the only
-//     place that tells rt from net; the per-message path (send, readers,
-//     poll loop, tick) lives in rt::RtNode / net::NetNode untouched.
+//     place that tells rt from net; the per-message path (send, read,
+//     wait, tick) is core::NodeLoop, which rt::RtNode and net::NetNode run
+//     over their transport.
 //     client::ServiceClient hosts its replicas and sessions on one mesh.
 //   * ThreadedCluster puts a deployment on a mesh, plus a "load manager"
 //     node that releases the clients with one kStart per (group, client

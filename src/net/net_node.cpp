@@ -20,35 +20,20 @@ constexpr std::size_t kRecvBufBytes = 64 * 1024;
 }  // namespace
 
 NetNode::NetNode(NodeId self, Engine* engine, const MeshConfig& cfg, IoPool* pool)
-    : self_(self),
-      engine_(engine),
+    : NodeLoop(self, cfg.total_nodes, engine),
       cfg_(cfg),
       pool_(pool),
       ring_bytes_(cfg.ring_bytes != 0
                       ? cfg.ring_bytes
                       : kLenPrefixBytes + wire::kMaxFrameBytes),
-      ctx_(std::make_unique<Ctx>(this)),
       links_(static_cast<std::size_t>(cfg.total_nodes)),
-      rbuf_(kRecvBufBytes) {
-  CI_CHECK(self >= 0 && self < cfg.total_nodes);
-}
+      rbuf_(kRecvBufBytes),
+      readable_(static_cast<std::size_t>(cfg.total_nodes), false) {}
 
 NetNode::~NetNode() {
   request_stop();
   join();
 }
-
-void NetNode::start() {
-  thread_ = std::thread([this] { thread_main(); });
-}
-
-void NetNode::request_stop() { stop_.store(true, std::memory_order_relaxed); }
-
-void NetNode::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void NetNode::kill() { killed_.store(true, std::memory_order_relaxed); }
 
 bool NetNode::bootstrap() {
   const Nanos deadline = now_nanos() + cfg_.bootstrap_deadline;
@@ -57,7 +42,7 @@ bool NetNode::bootstrap() {
   //    without a live listener behind it.
   const std::uint16_t want_port =
       cfg_.port_base == 0 ? 0
-                          : static_cast<std::uint16_t>(cfg_.port_base + self_);
+                          : static_cast<std::uint16_t>(cfg_.port_base + id());
   std::uint16_t bound_port = 0;
   Socket listener = tcp_listen(Endpoint{"0.0.0.0", want_port}, &bound_port,
                                std::max(16, cfg_.total_nodes));
@@ -65,30 +50,27 @@ bool NetNode::bootstrap() {
 
   // 2. Register and block for the full node -> endpoint map.
   std::vector<Endpoint> map;
-  if (!fetch_map(cfg_.registry, self_, bound_port, deadline, &stop_, &map)) return false;
+  if (!fetch_map(cfg_.registry, id(), bound_port, deadline, stop_flag(), &map)) return false;
   if (static_cast<std::int32_t>(map.size()) != cfg_.total_nodes) return false;
 
   const auto max_frame = static_cast<std::uint32_t>(wire::kMaxFrameBytes);
 
   // 3a. Dial every lower-id peer (their listeners pre-exist).
-  for (NodeId peer = 0; peer < self_; ++peer) {
-    Socket s = tcp_dial(map[static_cast<std::size_t>(peer)], deadline, &stop_);
+  for (NodeId peer = 0; peer < id(); ++peer) {
+    Socket s = tcp_dial(map[static_cast<std::size_t>(peer)], deadline, stop_flag());
     if (!s.valid()) return false;
     MeshHello hello;
-    hello.node = self_;
-    if (!write_full(s.fd(), &hello, sizeof(hello), deadline, &stop_)) return false;
+    hello.node = id();
+    if (!write_full(s.fd(), &hello, sizeof(hello), deadline, stop_flag())) return false;
     auto link = std::make_unique<Link>(ring_bytes_, max_frame);
     link->sock = std::move(s);
     links_[static_cast<std::size_t>(peer)] = std::move(link);
   }
 
   // 3b. Accept every higher-id peer; MeshHello tells us who dialed.
-  std::int32_t expected = cfg_.total_nodes - 1 - self_;
+  std::int32_t expected = cfg_.total_nodes - 1 - id();
   while (expected > 0) {
-    if (now_nanos() >= deadline || stop_.load(std::memory_order_relaxed) ||
-        killed_.load(std::memory_order_relaxed)) {
-      return false;
-    }
+    if (now_nanos() >= deadline || stopping()) return false;
     pollfd pfd{listener.fd(), POLLIN, 0};
     const int r = ::poll(&pfd, 1, 10);
     if (r < 0 && errno != EINTR) return false;
@@ -96,11 +78,11 @@ bool NetNode::bootstrap() {
     Socket s(::accept(listener.fd(), nullptr, nullptr));
     if (!s.valid()) continue;
     MeshHello hello{};
-    if (!read_full(s.fd(), &hello, sizeof(hello), now_nanos() + 2 * kSecond, &stop_)) {
+    if (!read_full(s.fd(), &hello, sizeof(hello), now_nanos() + 2 * kSecond, stop_flag())) {
       continue;  // a half-open dialer; it will retry
     }
     const NodeId peer = hello.node;
-    if (hello.magic != kMeshHelloMagic || peer <= self_ || peer >= cfg_.total_nodes) {
+    if (hello.magic != kMeshHelloMagic || peer <= id() || peer >= cfg_.total_nodes) {
       continue;
     }
     if (links_[static_cast<std::size_t>(peer)] != nullptr) continue;  // duplicate dial
@@ -123,14 +105,12 @@ void NetNode::thread_main() {
   if (bootstrap()) {
     if (pool_ != nullptr) pool_->add(this);
     ready_.store(true, std::memory_order_release);
-    poll_loop();
+    run();
     if (pool_ != nullptr) pool_->remove(this);
   } else {
     // A node that cannot join its mesh within the deadline is a deployment
     // error — unless it was stopped/killed mid-bootstrap, which is routine.
-    CI_CHECK_MSG(stop_.load(std::memory_order_relaxed) ||
-                     killed_.load(std::memory_order_relaxed),
-                 "net mesh bootstrap failed");
+    CI_CHECK_MSG(stopping(), "net mesh bootstrap failed");
   }
   // Drop every socket: to the peers this is EOF, exactly a process death.
   for (auto& link : links_) {
@@ -138,141 +118,91 @@ void NetNode::thread_main() {
     link->dead.store(true, std::memory_order_relaxed);
     link->sock.close();
   }
-  // Pooled bodies are thread-local; anything parked in the self queue goes
-  // back to this thread's pool before the thread exits.
-  for (const Message& m : self_queue_) wire::release_body(m);
-  self_queue_.clear();
 }
 
-void NetNode::poll_loop() {
-  engine_->start(*ctx_);
-  drain_self_queue();
-
-  std::vector<pollfd> pfds;
-  std::vector<NodeId> pfd_peer;
-  while (!stop_.load(std::memory_order_relaxed) &&
-         !killed_.load(std::memory_order_relaxed)) {
-    pfds.clear();
-    pfd_peer.clear();
-    for (NodeId peer = 0; peer < cfg_.total_nodes; ++peer) {
-      Link* l = links_[static_cast<std::size_t>(peer)].get();
-      if (l == nullptr || l->dead.load(std::memory_order_relaxed)) continue;
-      short events = POLLIN;
-      // Self-flushing nodes wait for writability only while bytes are
-      // pending; an IoPool owns flushing otherwise.
-      if (pool_ == nullptr && (l->ring->readable() > 0 || !l->backlog.empty())) {
-        events |= POLLOUT;
-      }
-      pfds.push_back(pollfd{l->sock.fd(), events, 0});
-      pfd_peer.push_back(peer);
+void NetNode::wait(bool) {
+  // Flushing the rings here, just before the poll, ends the previous pass:
+  // nothing runs between the two.
+  if (pool_ == nullptr) flush_rings();
+  pfds_.clear();
+  pfd_peer_.clear();
+  for (NodeId peer = 0; peer < cfg_.total_nodes; ++peer) {
+    readable_[static_cast<std::size_t>(peer)] = false;
+    Link* l = links_[static_cast<std::size_t>(peer)].get();
+    if (l == nullptr || l->dead.load(std::memory_order_relaxed)) continue;
+    short events = POLLIN;
+    // Self-flushing nodes wait for writability only while bytes are
+    // pending; an IoPool owns flushing otherwise.
+    if (pool_ == nullptr && (l->ring->readable() > 0 || backlogged(peer))) events |= POLLOUT;
+    pfds_.push_back(pollfd{l->sock.fd(), events, 0});
+    pfd_peer_.push_back(peer);
+  }
+  if (pfds_.empty()) {
+    // Every link is dead (we are partitioned or everyone else stopped);
+    // keep ticking so a co-hosted client can time out gracefully.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return;
+  }
+  ::poll(pfds_.data(), static_cast<nfds_t>(pfds_.size()), 1);
+  for (std::size_t i = 0; i < pfds_.size(); ++i) {
+    if (pfds_[i].revents & (POLLIN | POLLHUP | POLLERR)) {
+      readable_[static_cast<std::size_t>(pfd_peer_[i])] = true;
     }
-    if (pfds.empty()) {
-      // Every link is dead (we are partitioned or everyone else stopped);
-      // keep ticking so a co-hosted client can time out gracefully.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    } else {
-      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 1);
-    }
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-      if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) recv_link(pfd_peer[i]);
-    }
-    faults_.maybe_stall();
-    engine_->tick(*ctx_);
-    drain_self_queue();
-    promote_backlogs();
-    if (pool_ == nullptr) flush_rings();
   }
 }
 
-void NetNode::recv_link(NodeId peer) {
+bool NetNode::read(NodeId peer) {
+  if (!readable_[static_cast<std::size_t>(peer)]) return false;
   Link* l = links_[static_cast<std::size_t>(peer)].get();
   const ssize_t n = ::recv(l->sock.fd(), rbuf_.data(), rbuf_.size(), 0);
   if (n == 0) {
     l->dead.store(true, std::memory_order_relaxed);  // peer closed (or died)
-    return;
+    return false;
   }
   if (n < 0) {
     if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
       l->dead.store(true, std::memory_order_relaxed);
     }
-    return;
+    return false;
   }
   bool corrupt = false;
   const bool ok = l->reasm.feed(
       rbuf_.data(), static_cast<std::size_t>(n),
       [this, &corrupt](const unsigned char* p, std::uint32_t len) {
-        corrupt = corrupt || !handle_frame(p, len);
+        corrupt = corrupt || !deliver(p, len);
       });
   // A bounds-violating length means the stream is corrupt beyond resync; a
   // frame that does not decode means the peer is broken or hostile. Either
   // way the link drops, as if the peer had died — never the process.
   if (!ok || corrupt) l->dead.store(true, std::memory_order_relaxed);
-}
-
-bool NetNode::handle_frame(const unsigned char* p, std::uint32_t len) {
-  Message m;
-  if (!wire::try_decode(p, len, &m)) return false;
-  faults_.maybe_stall();
-  engine_->on_message(*ctx_, m);
-  wire::release_body(m);  // decode allocated any pooled body
-  drain_self_queue();
   return true;
 }
 
-void NetNode::send(NodeId dst, const Message& m) {
-  if (dst == self_) {
-    // Defer: engines are not reentrant. The copy shares the message's
-    // pooled body; custody moves to the self queue and drain_self_queue
-    // releases it after delivery.
-    Message out = m;
-    out.src = self_;
-    out.dst = dst;
-    self_queue_.push_back(out);
-    return;
-  }
-  Link* l = dst >= 0 && dst < cfg_.total_nodes ? links_[static_cast<std::size_t>(dst)].get()
-                                               : nullptr;
-  if (l == nullptr || l->dead.load(std::memory_order_relaxed)) {
-    // The peer is gone. Dropping is the correct failure model: a dead node
-    // is silence, and retry/failure-detection lives in the engines.
-    wire::release_body(m);
-    return;
-  }
-  const auto n = static_cast<std::uint32_t>(wire::frame_size(m));
-  ctx_->sent.fetch_add(1, std::memory_order_relaxed);
-  ctx_->sent_bytes.fetch_add(kLenPrefixBytes + n, std::memory_order_relaxed);
-  if (l->backlog.empty() && l->ring->free() >= kLenPrefixBytes + n) {
-    // Fast path: prefix + frame encode straight into the send ring — each
-    // field byte moves exactly once, engine memory to ring, with src/dst
-    // stamped mid-flight.
-    RingFrameWriter w(l->ring.get(), n);
-    const std::uint32_t written = wire::encode_into(m, w, self_, dst);
-    CI_CHECK(written == n);
-    w.finish();
-    wire::release_body(m);  // send() consumes the message's pooled body
-    return;
-  }
-  // Ring full (or older frames still waiting): encode into the FIFO
-  // backlog instead; promote_backlogs replays the finished bytes.
-  alignas(Message) unsigned char buf[kLenPrefixBytes + wire::kMaxFrameBytes];
-  put_len_prefix(buf, n);
-  wire::BufferWriter w(buf + kLenPrefixBytes);
-  const std::uint32_t written = wire::encode_into(m, w, self_, dst);
-  CI_CHECK(written == n);
-  wire::release_body(m);
-  l->backlog.emplace_back(buf, buf + kLenPrefixBytes + n);
+bool NetNode::link_up(NodeId peer) const {
+  const Link* l = links_[static_cast<std::size_t>(peer)].get();
+  return l != nullptr && !l->dead.load(std::memory_order_relaxed);
 }
 
-void NetNode::promote_backlogs() {
-  for (auto& link : links_) {
-    Link* l = link.get();
-    if (l == nullptr || l->dead.load(std::memory_order_relaxed)) continue;
-    while (!l->backlog.empty() && l->ring->free() >= l->backlog.front().size()) {
-      const auto& frame = l->backlog.front();
-      l->ring->push(frame.data(), frame.size());
-      l->backlog.pop_front();
-    }
-  }
+bool NetNode::write(NodeId peer, const Message& m, std::uint32_t frame_len) {
+  SendRing* ring = links_[static_cast<std::size_t>(peer)]->ring.get();
+  if (ring->free() < kLenPrefixBytes + frame_len) return false;
+  // Prefix + frame encode straight into the send ring, src/dst stamped
+  // mid-flight.
+  RingFrameWriter w(ring, frame_len);
+  encode(m, w, peer, frame_len);
+  w.finish();
+  return true;
+}
+
+bool NetNode::write(NodeId peer, const Frame& frame) {
+  Link* l = links_[static_cast<std::size_t>(peer)].get();
+  if (l->dead.load(std::memory_order_relaxed)) return true;  // dropped, as send() drops
+  if (l->ring->free() < kLenPrefixBytes + frame.size()) return false;
+  unsigned char prefix[kLenPrefixBytes];
+  put_len_prefix(prefix, static_cast<std::uint32_t>(frame.size()));
+  l->ring->push(prefix, sizeof(prefix));
+  l->ring->push(frame.data(), frame.size());
+  return true;
 }
 
 void NetNode::flush_rings() {
@@ -293,15 +223,6 @@ void NetNode::flush_rings() {
       l->dead.store(true, std::memory_order_relaxed);  // EPIPE/ECONNRESET: peer gone
       break;
     }
-  }
-}
-
-void NetNode::drain_self_queue() {
-  while (!self_queue_.empty()) {
-    const Message m = self_queue_.front();
-    self_queue_.pop_front();
-    engine_->on_message(*ctx_, m);
-    wire::release_body(m);
   }
 }
 

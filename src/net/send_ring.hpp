@@ -9,9 +9,10 @@
 // field bytes straight into the ring — the ring write IS the only copy on
 // the send path; there is no intermediate frame buffer.
 //
-// Custody: the caller (NetNode::send) checks free() >= prefix + frame up
-// front, encodes, then releases the message's pooled body — same rule as
-// the rt slot path: send() consumes the body, the encode is its one read.
+// Custody: the caller (NetNode::write, on the node loop's send path) checks
+// free() >= prefix + frame up front and encodes; the loop then releases the
+// message's pooled body — same rule as the rt slot path: send() consumes
+// the body, the encode is its one read.
 #pragma once
 
 #include <atomic>

@@ -22,18 +22,11 @@ namespace ci::rt {
 // Encode/read buffer capacity: the largest frame the codec can produce.
 inline constexpr std::size_t kWireBufBytes = wire::kMaxFrameBytes;
 
-// Stack budget for tasks that handle frames: a handful of Message
-// temporaries (decode copy, demux rewrite, handler locals, the self-queue
-// copy) plus the encode/read frame buffers, on top of the scheduler's
-// plain-code default.
-inline constexpr std::size_t kTaskStackBytes =
-    32 * 1024 + 8 * sizeof(consensus::Message) + 4 * wire::kMaxFrameBytes;
-
 // Queue slots per connection: the paper's seven suffice for unbatched
-// traffic, but RtNode's non-blocking try_write needs every fragment of a
-// frame to fit the queue at once — so batching deployments size their
-// queues from the codec's largest frame under the policy, plus headroom
-// for the small control traffic behind it.
+// traffic, but RtNode never blocks on a full queue — it writes a frame
+// only once every fragment fits at once — so batching deployments size
+// their queues from the codec's largest frame under the policy, plus
+// headroom for the small control traffic behind it.
 inline std::uint32_t slots_for(const consensus::BatchPolicy& policy) {
   if (!policy.batching()) return qclt::kDefaultSlots;
   return std::max(qclt::kDefaultSlots,
@@ -42,9 +35,9 @@ inline std::uint32_t slots_for(const consensus::BatchPolicy& policy) {
 
 // FrameWriter that lays a frame straight into SPSC queue slots, stamping
 // fragment headers as it crosses slot boundaries — the zero-copy half of
-// RtNode::send: field bytes go from the in-memory Message (or its pooled
-// run) directly into the shared-memory slot, with no intermediate frame
-// buffer. The caller reserves capacity up front (free_slots() >=
+// RtNode's send path: field bytes go from the in-memory Message (or its
+// pooled run) directly into the shared-memory slot, with no intermediate
+// frame buffer. The caller reserves capacity up front (free_slots() >=
 // fragments_for(frame_len)); acquiring a slot then never fails, so the
 // whole frame publishes, slot by slot, in one pass. finish() commits the
 // trailing partial slot.

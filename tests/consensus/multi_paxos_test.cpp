@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "qclt/connection.hpp"
 #include "support/fake_net.hpp"
 
 namespace ci::consensus {
@@ -114,6 +117,94 @@ TEST(MultiPaxos, TakeoverRecoversAcceptedValue) {
   EXPECT_TRUE(h.at(1).log().is_learned(0));
   EXPECT_EQ(h.at(1).log().get(0)->client, 3);
   EXPECT_EQ(h.at(1).log().get(0)->seq, 1u);
+}
+
+// Every instance two replicas both learned holds the same value there.
+void expect_logs_agree(MpHarness& h, std::int32_t replicas = 3) {
+  for (NodeId a = 0; a < replicas; ++a) {
+    for (NodeId b = a + 1; b < replicas; ++b) {
+      const ReplicatedLog& la = h.at(a).log();
+      const ReplicatedLog& lb = h.at(b).log();
+      for (Instance in = 0; in < std::min(la.end(), lb.end()); ++in) {
+        if (!la.is_learned(in) || !lb.is_learned(in)) continue;
+        EXPECT_EQ(*la.get_batch(in), *lb.get_batch(in))
+            << "replicas " << a << " and " << b << " disagree at instance " << in;
+      }
+    }
+  }
+}
+
+// Delivers messages until quiet, first dropping every in-flight message
+// `lost` matches (re-checked before each step, so replies sent on the way
+// are filtered too).
+void run_dropping(MpHarness& h, const std::function<bool(const Message&)>& lost) {
+  do {
+    h.net.drop_if(lost);
+  } while (h.net.step());
+}
+
+// Node 2 asks for leadership with phase 1 reaching only `quorum_peer` and
+// itself, then everything is delivered. Returns the largest phase-1
+// response frame sent, in bytes.
+std::size_t takeover_by_2_via(MpHarness& h, NodeId quorum_peer) {
+  Message suspect = test::client_request(4, 2, 1);
+  suspect.flags = kFlagLeaderSuspect;  // node 2 starts phase 1 at once
+  h.net.inject(suspect);
+  const NodeId excluded = 1 - quorum_peer;  // the acceptor phase 1 misses
+  std::size_t widest = 0;
+  run_dropping(h, [excluded, &widest](const Message& m) {
+    if (m.type == MsgType::kPhase1Resp) widest = std::max(widest, ci::wire::frame_size(m));
+    return m.type == MsgType::kPhase1Req && m.dst == excluded;
+  });
+  h.net.run();
+  return widest;
+}
+
+TEST(MultiPaxos, TakeoverRecoversValueOnlyALearnerStillHolds) {
+  MpHarness h;
+  // Leader 0 and acceptor 1 accept V at instance 0, but only node 0 hears
+  // both acceptances: node 0 learns V, node 1 still holds it as accepted,
+  // node 2 never saw it.
+  h.net.inject(test::client_request(3, 0, 1));
+  run_dropping(h, [](const Message& m) {
+    return m.dst == 2 || (m.type == MsgType::kPhase2Acked && m.dst == 1);
+  });
+  ASSERT_TRUE(h.at(0).log().is_learned(0));
+  ASSERT_FALSE(h.at(1).log().is_learned(0));
+  // Phase 1 of node 2 reaches {0, 2}: the quorum meets V's acceptance
+  // quorum {0, 1} only at node 0, which has learned V. Unless node 0
+  // reports it, node 2 proposes its own command at instance 0 and node 1
+  // (which accepts the higher ballot) learns a second value there.
+  takeover_by_2_via(h, /*quorum_peer=*/0);
+  ASSERT_TRUE(h.at(2).is_leader());
+  expect_logs_agree(h);
+  EXPECT_EQ(h.at(1).log().get(0)->client, 3);
+}
+
+TEST(MultiPaxos, TakeoverRecoversMoreAcceptedValuesThanOneResponseHolds) {
+  MpHarness h;
+  // 20 values: node 0 learns each, acceptor 1 accepts each but learns none,
+  // node 2 sees nothing.
+  constexpr std::uint32_t kValues = kMaxProposalsPerMsg + 4;
+  for (std::uint32_t seq = 1; seq <= kValues; ++seq) {
+    h.net.inject(test::client_request(3, 0, seq));
+    run_dropping(h, [](const Message& m) {
+      return m.dst == 2 || (m.type == MsgType::kPhase2Acked && m.dst == 1);
+    });
+  }
+  ASSERT_EQ(h.at(0).log().first_gap(), static_cast<Instance>(kValues));
+  ASSERT_EQ(h.at(1).log().first_gap(), 0);
+  // Phase 1 of node 2 reaches {1, 2}: acceptor 1 must report all 20
+  // accepted values, not the first kMaxProposalsPerMsg of them, and its
+  // main response must still fit the paper's 7-slot rt queue.
+  const std::size_t widest = takeover_by_2_via(h, /*quorum_peer=*/1);
+  EXPECT_LE(qclt::wire::fragments_for(static_cast<std::uint32_t>(widest)), qclt::kDefaultSlots);
+  ASSERT_TRUE(h.at(2).is_leader());
+  expect_logs_agree(h);
+  for (Instance in = 0; in < static_cast<Instance>(kValues); ++in) {
+    ASSERT_TRUE(h.at(1).log().is_learned(in)) << "instance " << in;
+    EXPECT_EQ(h.at(1).log().get(in)->client, 3) << "instance " << in;
+  }
 }
 
 TEST(MultiPaxos, OldLeaderStepsDownOnNack) {

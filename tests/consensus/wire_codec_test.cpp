@@ -134,6 +134,22 @@ TEST(WireCodec, RoundTripRandomizedBatchSizesAllKinds) {
   EXPECT_EQ(CommandPool::local().live(), live0) << "pool blocks leaked";
 }
 
+// A Multi-Paxos phase-1 report sends the overflow of its inline proposal
+// array as sidecars, so kPhase1BatchResp alone among the batched kinds
+// carries a single command.
+TEST(WireCodec, Phase1SidecarCarriesASingleCommand) {
+  Rng rng(0x51DE);
+  Message m = rand_batched(rng, MsgType::kPhase1BatchResp, rand_batch(rng, 1));
+  unsigned char buf[ci::wire::kMaxFrameBytes];
+  const std::uint32_t n = ci::wire::encode(m, buf);
+  EXPECT_EQ(n, wire_size(m));
+  Message out;
+  ASSERT_TRUE(ci::wire::try_decode(buf, n, &out));
+  expect_same_frame(m, out);
+  ci::wire::release_body(out);
+  ci::wire::release_body(m);
+}
+
 TEST(WireCodec, TruncatedFramesAreRejected) {
   Rng rng(0xBAD);
   const std::size_t live0 = CommandPool::local().live();
