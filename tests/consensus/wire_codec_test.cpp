@@ -405,6 +405,359 @@ TEST(CommandPoolDeathTest, StaleRefTripsTheGuard) {
   EXPECT_DEATH((void)pool.data(ref), "stale");
 }
 
+// ---- Every kind's frame, pinned ----
+// One message of every MsgType with fixed field values, spelled out per
+// kind (nothing here reads the codec's own per-kind facts). Kinds with a
+// counted tail are built twice: with 2 elements, and with one more than a
+// CommandRun holds inline, so both the inline and the pooled run regimes
+// are pinned (kClientCmdBatch, whose runs stay inline, uses its cap).
+
+void set_pn(ProposalNum& pn, std::int64_t counter, NodeId node) {
+  // Field by field: assigning a ProposalNum temporary could copy
+  // indeterminate padding bytes into the frame.
+  pn.counter = counter;
+  pn.node = node;
+}
+
+Command pinned_cmd(std::int32_t i) {
+  Command c;
+  c.client = 3 + i;
+  c.seq = 100 + static_cast<std::uint32_t>(i);
+  c.op = i % 2 == 0 ? Op::kWrite : Op::kRead;
+  c.key = 0x1000 + static_cast<std::uint64_t>(i);
+  c.value = 0xABC0 + static_cast<std::uint64_t>(i);
+  return c;
+}
+
+void set_proposal(Proposal& p, std::int32_t i) {
+  p.instance = 20 + i;
+  set_pn(p.pn, 6, 1);
+  p.value = pinned_cmd(i);
+}
+
+void fill_run(CommandRun& run, std::int32_t count) {
+  Batch b;
+  for (std::int32_t i = 0; i < count; ++i) b.push_back(pinned_cmd(i));
+  run.assign(b.data(), count);
+}
+
+// count 2: the legacy layout (no batched refs); otherwise `count`
+// single-command proposals plus three batched refs.
+void fill_entry(UtilityEntry& e, std::int32_t count) {
+  e.kind = UtilityEntry::Kind::kAcceptorChange;
+  e.leader = 0;
+  e.acceptor = 1;
+  e.frontier = 40;
+  e.num_proposals = count;
+  for (std::int32_t i = 0; i < count; ++i) set_proposal(e.proposals[i], i);
+  if (count == 2) return;
+  e.num_batched = 3;
+  for (std::int32_t i = 0; i < e.num_batched; ++i) {
+    e.batched[i].instance = 50 + i;
+    e.batched[i].count = 2 + i;
+    e.batched[i].digest = 0xD16E57ull * static_cast<std::uint64_t>(i + 1);
+  }
+}
+
+Message pinned_message(MsgType t, std::int32_t count) {
+  Message m(t, ProtoId::kOnePaxos, 1, 2);
+  m.flags = 0;
+  m.group = 3;
+  Message::Payload& u = m.u;
+  switch (t) {
+    case MsgType::kNone:
+    case MsgType::kStart:
+    case MsgType::kStop:
+    case MsgType::kPing:
+      m.proto = ProtoId::kControl;
+      break;
+    case MsgType::kHeartbeat:
+    case MsgType::kPong:
+      m.flags = kFlagEstablishing;
+      u.heartbeat.leader = 1;
+      u.heartbeat.lease_seq = 5;
+      u.heartbeat.committed = 77;
+      set_pn(u.heartbeat.ballot, 4, 1);
+      break;
+    case MsgType::kClientRequest:
+      m.proto = ProtoId::kClient;
+      m.flags = kFlagLeaderSuspect;
+      u.client_request.cmd = pinned_cmd(0);
+      break;
+    case MsgType::kClientReply:
+      m.proto = ProtoId::kClient;
+      u.client_reply.seq = 9;
+      u.client_reply.ok = 1;
+      u.client_reply.result = 0x55;
+      u.client_reply.instance = 12;
+      u.client_reply.leader_hint = 0;
+      u.client_reply.lease_epoch = 3;
+      break;
+    case MsgType::kTwoPcPrepare:
+      m.proto = ProtoId::kTwoPc;
+      u.two_pc_prepare.instance = 12;
+      u.two_pc_prepare.cmd = pinned_cmd(1);
+      break;
+    case MsgType::kTwoPcPrepareAck:
+    case MsgType::kTwoPcPrepareNack:
+    case MsgType::kTwoPcCommit:
+    case MsgType::kTwoPcCommitAck:
+    case MsgType::kTwoPcRollback:
+      m.proto = ProtoId::kTwoPc;
+      u.two_pc_ack.instance = 12 + static_cast<Instance>(t);
+      break;
+    case MsgType::kPhase1Req:
+      m.proto = ProtoId::kMultiPaxos;
+      set_pn(u.phase1_req.pn, 5, 2);
+      u.phase1_req.from_instance = 5;
+      break;
+    case MsgType::kPhase1Resp:
+      m.proto = ProtoId::kMultiPaxos;
+      set_pn(u.phase1_resp.pn, 5, 2);
+      u.phase1_resp.num_proposals = count;
+      u.phase1_resp.num_batched = 1;
+      for (std::int32_t i = 0; i < count; ++i) set_proposal(u.phase1_resp.proposals[i], i);
+      break;
+    case MsgType::kPhase2Req:
+      m.proto = ProtoId::kMultiPaxos;
+      u.phase2_req.instance = 31;
+      set_pn(u.phase2_req.pn, 5, 2);
+      u.phase2_req.value = pinned_cmd(2);
+      break;
+    case MsgType::kPhase2Acked:
+      m.proto = ProtoId::kMultiPaxos;
+      m.flags = kFlagDecided;
+      u.phase2_acked.instance = 32;
+      set_pn(u.phase2_acked.pn, 5, 2);
+      u.phase2_acked.value = pinned_cmd(3);
+      break;
+    case MsgType::kNack:
+      m.proto = ProtoId::kMultiPaxos;
+      u.nack.instance = 33;
+      set_pn(u.nack.higher_pn, 8, 0);
+      u.nack.leader_hint = 0;
+      break;
+    case MsgType::kOpxPrepareReq:
+      set_pn(u.opx_prepare_req.pn, 7, 1);
+      u.opx_prepare_req.you_must_be_fresh = 1;
+      break;
+    case MsgType::kOpxPrepareResp:
+      u.opx_prepare_resp.acceptor = 2;
+      set_pn(u.opx_prepare_resp.pn, 7, 1);
+      u.opx_prepare_resp.frontier = 61;
+      u.opx_prepare_resp.num_accepted = count;
+      u.opx_prepare_resp.num_batched = 1;
+      for (std::int32_t i = 0; i < count; ++i) set_proposal(u.opx_prepare_resp.accepted[i], i);
+      break;
+    case MsgType::kOpxAcceptReq:
+      u.opx_accept_req.instance = 34;
+      set_pn(u.opx_accept_req.pn, 7, 1);
+      u.opx_accept_req.value = pinned_cmd(4);
+      break;
+    case MsgType::kOpxAbandon:
+      set_pn(u.opx_abandon.higher_pn, 9, 2);
+      break;
+    case MsgType::kOpxLearn:
+      u.opx_learn.instance = 35;
+      u.opx_learn.value = pinned_cmd(5);
+      break;
+    case MsgType::kOpxCatchupReq:
+      u.opx_catchup_req.from_instance = 36;
+      break;
+    case MsgType::kUtilPhase1Req:
+      m.proto = ProtoId::kUtility;
+      u.util_phase1_req.instance = 2;
+      set_pn(u.util_phase1_req.pn, 3, 0);
+      break;
+    case MsgType::kUtilPhase1Resp:
+      m.proto = ProtoId::kUtility;
+      u.util_phase1_resp.instance = 2;
+      set_pn(u.util_phase1_resp.pn, 3, 0);
+      u.util_phase1_resp.has_accepted = 1;
+      set_pn(u.util_phase1_resp.accepted_pn, 2, 1);
+      fill_entry(u.util_phase1_resp.accepted, count);
+      break;
+    case MsgType::kUtilPhase2Req:
+      m.proto = ProtoId::kUtility;
+      u.util_phase2_req.instance = 2;
+      set_pn(u.util_phase2_req.pn, 3, 0);
+      fill_entry(u.util_phase2_req.entry, count);
+      break;
+    case MsgType::kUtilAccepted:
+      m.proto = ProtoId::kUtility;
+      u.util_accepted.instance = 2;
+      set_pn(u.util_accepted.pn, 3, 0);
+      fill_entry(u.util_accepted.entry, count);
+      break;
+    case MsgType::kUtilNack:
+      m.proto = ProtoId::kUtility;
+      u.util_nack.instance = 2;
+      set_pn(u.util_nack.higher_pn, 4, 2);
+      break;
+    case MsgType::kPhase2BatchReq:
+      m.proto = ProtoId::kMultiPaxos;
+      u.phase2_batch_req.instance = 41;
+      set_pn(u.phase2_batch_req.pn, 5, 2);
+      u.phase2_batch_req.count = count;
+      fill_run(u.phase2_batch_req.run, count);
+      break;
+    case MsgType::kPhase2BatchAcked:
+      m.proto = ProtoId::kMultiPaxos;
+      u.phase2_batch_acked.instance = 42;
+      set_pn(u.phase2_batch_acked.pn, 5, 2);
+      u.phase2_batch_acked.count = count;
+      fill_run(u.phase2_batch_acked.run, count);
+      break;
+    case MsgType::kPhase1BatchResp:
+      m.proto = ProtoId::kMultiPaxos;
+      set_pn(u.phase1_batch_resp.pn, 5, 2);
+      set_pn(u.phase1_batch_resp.accepted_pn, 4, 1);
+      u.phase1_batch_resp.instance = 43;
+      u.phase1_batch_resp.count = count;
+      fill_run(u.phase1_batch_resp.run, count);
+      break;
+    case MsgType::kOpxBatchAcceptReq:
+      u.opx_batch_accept_req.instance = 44;
+      set_pn(u.opx_batch_accept_req.pn, 7, 1);
+      u.opx_batch_accept_req.count = count;
+      fill_run(u.opx_batch_accept_req.run, count);
+      break;
+    case MsgType::kOpxBatchLearn:
+      u.opx_batch_learn.instance = 45;
+      u.opx_batch_learn.count = count;
+      fill_run(u.opx_batch_learn.run, count);
+      break;
+    case MsgType::kOpxPrepareBatchResp:
+      u.opx_prepare_batch_resp.acceptor = 2;
+      u.opx_prepare_batch_resp.count = count;
+      set_pn(u.opx_prepare_batch_resp.pn, 7, 1);
+      u.opx_prepare_batch_resp.instance = 46;
+      fill_run(u.opx_prepare_batch_resp.run, count);
+      break;
+    case MsgType::kOpxWindowBody:
+      u.opx_window_body.instance = 47;
+      u.opx_window_body.digest = 0xB0D1;
+      u.opx_window_body.count = count;
+      fill_run(u.opx_window_body.run, count);
+      break;
+    case MsgType::kOpxWindowFetchReq:
+      u.opx_window_fetch_req.instance = 47;
+      u.opx_window_fetch_req.digest = 0xB0D1;
+      break;
+    case MsgType::kClientCmdBatch:
+      m.proto = ProtoId::kClient;
+      u.client_cmd_batch.count = count;
+      fill_run(u.client_cmd_batch.run, count);
+      break;
+    case MsgType::kOpxLearnRun:
+      u.opx_learn_run.first_instance = 48;
+      u.opx_learn_run.count = count;
+      fill_run(u.opx_learn_run.run, count);
+      break;
+    case MsgType::kLeaseGrant:
+      u.lease_grant.grantor = 2;
+      u.lease_grant.lease_seq = 5;
+      set_pn(u.lease_grant.ballot, 4, 1);
+      break;
+    default:
+      ADD_FAILURE() << "no pinned message for type " << static_cast<int>(t);
+  }
+  return m;
+}
+
+std::uint64_t fnv1a64(const unsigned char* p, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct PinnedFrame {
+  MsgType type;
+  std::int32_t count;  // elements in the counted tail (0: the kind has none)
+  std::uint32_t bytes;
+  std::uint64_t fnv;
+};
+
+// Generated from the codec before the per-kind message table replaced its
+// switches; a changed value here means a frame byte changed.
+const PinnedFrame kPinnedFrames[] = {
+    {MsgType::kNone, 0, 16, 0xbd838722cc6e492aull},
+    {MsgType::kStart, 0, 16, 0x07be36850f95311full},
+    {MsgType::kStop, 0, 16, 0x57801eb5c57eafecull},
+    {MsgType::kHeartbeat, 0, 48, 0xe04c05e505440ec4ull},
+    {MsgType::kPing, 0, 16, 0x818b30028019e826ull},
+    {MsgType::kPong, 0, 48, 0x49c43e047240393aull},
+    {MsgType::kClientRequest, 0, 48, 0x435f099c16f5bcc4ull},
+    {MsgType::kClientReply, 0, 48, 0xa8590574c00d121eull},
+    {MsgType::kTwoPcPrepare, 0, 56, 0xafcf11029e5fbe76ull},
+    {MsgType::kTwoPcPrepareAck, 0, 24, 0x376edd847a312ac8ull},
+    {MsgType::kTwoPcPrepareNack, 0, 24, 0xe47965aab79213bcull},
+    {MsgType::kTwoPcCommit, 0, 24, 0xf3a2b5ee9774f7a4ull},
+    {MsgType::kTwoPcCommitAck, 0, 24, 0x6a3f33c29edfa3e0ull},
+    {MsgType::kTwoPcRollback, 0, 24, 0x20e51c7158cc58c0ull},
+    {MsgType::kPhase1Req, 0, 40, 0x6f0e355873371c1eull},
+    {MsgType::kPhase1Resp, 2, 152, 0xb29a605769853839ull},
+    {MsgType::kPhase1Resp, 9, 544, 0x0cc799e80c228a9eull},
+    {MsgType::kPhase2Req, 0, 72, 0x32ec8d5a0cd5c71dull},
+    {MsgType::kPhase2Acked, 0, 72, 0x1ebaf058716e89dbull},
+    {MsgType::kNack, 0, 48, 0xc04fb8a942496eb9ull},
+    {MsgType::kOpxPrepareReq, 0, 40, 0x86c8e0332913b86bull},
+    {MsgType::kOpxPrepareResp, 2, 168, 0xa3e540be81b45919ull},
+    {MsgType::kOpxPrepareResp, 9, 560, 0xc40351492ee06b7eull},
+    {MsgType::kOpxAcceptReq, 0, 72, 0x0fb8e1f8a4f59781ull},
+    {MsgType::kOpxAbandon, 0, 32, 0x0bd9baf3b8cb8b9eull},
+    {MsgType::kOpxLearn, 0, 56, 0x9a0bf21221af1139ull},
+    {MsgType::kOpxCatchupReq, 0, 24, 0x0654f4adf0c11fdfull},
+    {MsgType::kUtilPhase1Req, 0, 40, 0x62a7c6a461bd0b60ull},
+    {MsgType::kUtilPhase1Resp, 2, 208, 0x17ac245081c5b5f0ull},
+    {MsgType::kUtilPhase1Resp, 9, 1064, 0xfb328f4ca89a1765ull},
+    {MsgType::kUtilPhase2Req, 2, 184, 0x9b760f09a189a3fbull},
+    {MsgType::kUtilPhase2Req, 9, 1040, 0x89fd08ad280cb5eeull},
+    {MsgType::kUtilAccepted, 2, 184, 0x0115ddb6e020bc88ull},
+    {MsgType::kUtilAccepted, 9, 1040, 0x721ae5b3245fd99dull},
+    {MsgType::kUtilNack, 0, 40, 0x360dc6cb94aef731ull},
+    {MsgType::kPhase2BatchReq, 2, 112, 0x282d2660885ceb39ull},
+    {MsgType::kPhase2BatchReq, 9, 336, 0x656667d9e48a549cull},
+    {MsgType::kPhase2BatchAcked, 2, 112, 0x66e37f2fce2cff07ull},
+    {MsgType::kPhase2BatchAcked, 9, 336, 0xb3e693c9ad1a8466ull},
+    {MsgType::kOpxBatchAcceptReq, 2, 112, 0xdcf3574f47be705aull},
+    {MsgType::kOpxBatchAcceptReq, 9, 336, 0xd59ec3a9a4e9a53bull},
+    {MsgType::kOpxBatchLearn, 2, 96, 0x383d21a6d0627e40ull},
+    {MsgType::kOpxBatchLearn, 9, 320, 0x55fa7d01d9b574bdull},
+    {MsgType::kPhase1BatchResp, 2, 128, 0xa27ce12df3657e1aull},
+    {MsgType::kPhase1BatchResp, 9, 352, 0x0d0e939556933ffbull},
+    {MsgType::kOpxPrepareBatchResp, 2, 112, 0x7c583b88d3ce8f25ull},
+    {MsgType::kOpxPrepareBatchResp, 9, 336, 0xb6fc014e5720ad08ull},
+    {MsgType::kOpxWindowBody, 2, 104, 0x29d25f3c6eb53b0aull},
+    {MsgType::kOpxWindowBody, 9, 328, 0x205f3fa94ce487cbull},
+    {MsgType::kOpxWindowFetchReq, 0, 32, 0xdc9276cdf9a7812cull},
+    {MsgType::kClientCmdBatch, 2, 88, 0x74ee4cbf09c2a00aull},
+    {MsgType::kClientCmdBatch, 8, 280, 0x3908885d9775ddc9ull},
+    {MsgType::kOpxLearnRun, 2, 96, 0x2d6d4ee356eb650bull},
+    {MsgType::kOpxLearnRun, 9, 320, 0x88efc4ea9e3bdeeaull},
+    {MsgType::kLeaseGrant, 0, 40, 0x1cc993e4f85c8a99ull},
+};
+
+TEST(WireCodec, EveryKindEncodesToItsPinnedBytes) {
+  const std::size_t live0 = CommandPool::local().live();
+  std::vector<bool> seen(static_cast<std::size_t>(MsgType::kLeaseGrant) + 1, false);
+  for (const PinnedFrame& pin : kPinnedFrames) {
+    Message m = pinned_message(pin.type, pin.count);
+    unsigned char buf[ci::wire::kMaxFrameBytes];
+    const std::uint32_t n = ci::wire::encode(m, buf);
+    ci::wire::release_body(m);
+    EXPECT_EQ(n, pin.bytes) << "type " << static_cast<int>(pin.type) << " count " << pin.count;
+    EXPECT_EQ(fnv1a64(buf, n), pin.fnv)
+        << "type " << static_cast<int>(pin.type) << " count " << pin.count;
+    seen[static_cast<std::size_t>(pin.type)] = true;
+  }
+  for (std::size_t t = 0; t < seen.size(); ++t) EXPECT_TRUE(seen[t]) << "type " << t << " unpinned";
+  EXPECT_EQ(CommandPool::local().live(), live0);
+}
+
 // ---- CI wire budgets ----
 // These pins are the ctest half of the size guard (the static_assert in
 // message.hpp is the compile-time half): loosening any of them is an
