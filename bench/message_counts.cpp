@@ -8,6 +8,10 @@
 //   1Paxos:      request + accept + 2 learns + reply               = 5
 //   Multi-Paxos: request + 2 accepts + 6 accept-broadcasts + reply = 10
 //   2PC:         request + 2+2 prepare/ack + 2+2 commit/ack + reply = 10
+// Exits 1 when any protocol's count is 0.05 or more away from these (ctest
+// label `paper`).
+#include <cmath>
+
 #include "support/bench_common.hpp"
 
 namespace {
@@ -43,15 +47,32 @@ int main(int argc, char** argv) {
          "counts include the client request and reply; self-delivery between\n"
          "collapsed roles on one node is free, exactly as in the figure");
 
-  row("%-14s %22s %10s", "protocol", "messages/commit", "paper");
-  const double one = messages_per_commit(Protocol::kOnePaxos);
-  const double multi = messages_per_commit(Protocol::kMultiPaxos);
-  const double two = messages_per_commit(Protocol::kTwoPc);
-  row("%-14s %22.2f %10s", "1Paxos", one, "5");
-  row("%-14s %22.2f %10s", "Multi-Paxos", multi, "10");
-  row("%-14s %22.2f %10s", "2PC", two, "10");
+  // The predicate (Fig. 3, §4.3): each protocol's messages per commit is
+  // the paper's count, to within rounding.
+  struct Check {
+    const char* name;
+    Protocol protocol;
+    double paper;
+  };
+  const Check checks[] = {{"1Paxos", Protocol::kOnePaxos, 5},
+                          {"Multi-Paxos", Protocol::kMultiPaxos, 10},
+                          {"2PC", Protocol::kTwoPc, 10}};
+  constexpr double kTolerance = 0.05;
+  row("%-14s %22s %10s %8s", "protocol", "messages/commit", "paper", "verdict");
+  double measured[3];
+  bool all_match = true;
+  for (int i = 0; i < 3; ++i) {
+    measured[i] = messages_per_commit(checks[i].protocol);
+    const bool match = std::fabs(measured[i] - checks[i].paper) < kTolerance;
+    all_match = all_match && match;
+    row("%-14s %22.2f %10.0f %8s", checks[i].name, measured[i], checks[i].paper,
+        match ? "ok" : "MISMATCH");
+  }
   row("");
-  row("1Paxos / Multi-Paxos message ratio: %.2f (paper: ~0.5 — \"reduces the", one / multi);
+  row("1Paxos / Multi-Paxos message ratio: %.2f (paper: ~0.5 — \"reduces the",
+      measured[0] / measured[1]);
   row("number of produced messages by a factor of two\", §4.3)");
-  return 0;
+  row("Fig. 3 predicate (each count within %.2f of the paper's): %s", kTolerance,
+      all_match ? "holds" : "FAILS");
+  return all_match ? 0 : 1;
 }

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 
 #include "common/check.hpp"
 #include "consensus/command_pool.hpp"
@@ -131,6 +132,10 @@ enum class MsgType : std::uint8_t {
   // > 0 — heartbeats then carry a nonzero lease_seq — so default
   // deployments emit no grants and their wire traffic is unchanged.
   kLeaseGrant,
+
+  // Not a kind: one past the last, so the message table (kWireRows below)
+  // can insist on a row for every kind.
+  kEnd,
 };
 
 // Message::flags bits.
@@ -597,6 +602,165 @@ inline constexpr std::size_t kMessageBudgetBytes = 1536;
 static_assert(sizeof(Message) <= kMessageBudgetBytes,
               "sizeof(Message) exceeds its budget: move payload out of line "
               "instead of growing the union");
+
+// ---- The message table ----
+// Every per-kind wire fact lives in one row: how many payload bytes the kind
+// puts on the wire, which count field sizes its variable tail and within
+// what bounds, and where its command run sits. wire_size, wire_validate and
+// the codec (wire_codec.cpp) look the row up by type; nothing else restates
+// these facts. Adding a kind takes one payload struct, one union member and
+// one row; the static_assert below refuses a build whose rows do not match
+// the enum one for one.
+
+// What follows a kind's `fixed` payload bytes on the wire.
+enum class Tail : std::uint8_t {
+  kNone,   // nothing
+  kArray,  // `count` elements of `elem` bytes, stored inline
+  kRun,    // the `count` commands of the CommandRun at payload offset `fixed`
+           // (inline or pooled in memory, contiguous on the wire)
+  kEntry,  // the UtilityEntry at payload offset `fixed`, truncated to its used
+           // arrays and checked by its own counts (message.cpp)
+};
+
+struct WireRow {
+  MsgType type = MsgType::kNone;
+  Tail tail = Tail::kNone;
+  std::size_t fixed = 0;        // payload bytes before the tail
+  std::size_t elem = 0;         // bytes per tail element (kArray, kRun)
+  std::size_t count_at = 0;     // payload offset of the int32 element count
+  std::int32_t min_count = 0;   // legal element counts (kArray, kRun)
+  std::int32_t max_count = 0;
+  std::size_t sidecars_at = 0;  // payload offset of an int32 sidecar count
+                                // that must not be negative (0: none)
+
+  std::int32_t count(const Message& m) const { return payload_i32(m, count_at); }
+
+  static std::int32_t payload_i32(const Message& m, std::size_t at) {
+    std::int32_t v;
+    std::memcpy(&v, reinterpret_cast<const unsigned char*>(&m.u) + at, sizeof(v));
+    return v;
+  }
+
+  // Largest payload this kind can put on the wire when protocol batches are
+  // capped at `batch_cap` commands. Client and learn runs have their own
+  // caps, which no batch policy changes.
+  constexpr std::size_t max_bytes(std::int32_t batch_cap) const {
+    switch (tail) {
+      case Tail::kNone:
+        return fixed;
+      case Tail::kArray:
+        return fixed + static_cast<std::size_t>(max_count) * elem;
+      case Tail::kRun:
+        return fixed + static_cast<std::size_t>(max_count == kMaxCommandsPerBatch ? batch_cap
+                                                                                 : max_count) *
+                           elem;
+      case Tail::kEntry:
+        return fixed + sizeof(UtilityEntry);
+    }
+    return sizeof(Message::Payload);
+  }
+};
+
+template <typename P>
+constexpr WireRow fixed_row(MsgType t) {
+  return {.type = t, .fixed = sizeof(P)};
+}
+
+// Fixed fields, an int32 `count`, then a CommandRun `run` of lo..hi
+// commands.
+template <typename P>
+constexpr WireRow run_row(MsgType t, std::int32_t lo, std::int32_t hi) {
+  return {.type = t, .tail = Tail::kRun, .fixed = offsetof(P, run), .elem = sizeof(Command),
+          .count_at = offsetof(P, count), .min_count = lo, .max_count = hi};
+}
+
+constexpr WireRow entry_row(MsgType t, std::size_t at) {
+  return {.type = t, .tail = Tail::kEntry, .fixed = at};
+}
+
+// One row per MsgType, in enum order.
+inline constexpr WireRow kWireRows[] = {
+    {MsgType::kNone},
+    {MsgType::kStart},
+    {MsgType::kStop},
+    fixed_row<Heartbeat>(MsgType::kHeartbeat),
+    {MsgType::kPing},
+    // A pong answers a liveness probe with the responder's commit frontier
+    // (Heartbeat-shaped): recovery polls read it, so a 0-byte pong would
+    // truncate the frontier to zero on decode.
+    fixed_row<Heartbeat>(MsgType::kPong),
+    fixed_row<ClientRequest>(MsgType::kClientRequest),
+    fixed_row<ClientReply>(MsgType::kClientReply),
+    fixed_row<TwoPcPrepare>(MsgType::kTwoPcPrepare),
+    fixed_row<TwoPcAck>(MsgType::kTwoPcPrepareAck),
+    fixed_row<TwoPcAck>(MsgType::kTwoPcPrepareNack),
+    fixed_row<TwoPcAck>(MsgType::kTwoPcCommit),
+    fixed_row<TwoPcAck>(MsgType::kTwoPcCommitAck),
+    fixed_row<TwoPcAck>(MsgType::kTwoPcRollback),
+    fixed_row<Phase1Req>(MsgType::kPhase1Req),
+    {.type = MsgType::kPhase1Resp, .tail = Tail::kArray,
+     .fixed = offsetof(Phase1Resp, proposals), .elem = sizeof(Proposal),
+     .count_at = offsetof(Phase1Resp, num_proposals), .min_count = 0,
+     .max_count = kMaxProposalsPerMsg, .sidecars_at = offsetof(Phase1Resp, num_batched)},
+    fixed_row<Phase2Req>(MsgType::kPhase2Req),
+    fixed_row<Phase2Acked>(MsgType::kPhase2Acked),
+    fixed_row<Nack>(MsgType::kNack),
+    fixed_row<OpxPrepareReq>(MsgType::kOpxPrepareReq),
+    {.type = MsgType::kOpxPrepareResp, .tail = Tail::kArray,
+     .fixed = offsetof(OpxPrepareResp, accepted), .elem = sizeof(Proposal),
+     .count_at = offsetof(OpxPrepareResp, num_accepted), .min_count = 0,
+     .max_count = kMaxProposalsPerMsg, .sidecars_at = offsetof(OpxPrepareResp, num_batched)},
+    fixed_row<OpxAcceptReq>(MsgType::kOpxAcceptReq),
+    fixed_row<OpxAbandon>(MsgType::kOpxAbandon),
+    fixed_row<OpxLearn>(MsgType::kOpxLearn),
+    fixed_row<OpxCatchupReq>(MsgType::kOpxCatchupReq),
+    fixed_row<UtilPhase1Req>(MsgType::kUtilPhase1Req),
+    entry_row(MsgType::kUtilPhase1Resp, offsetof(UtilPhase1Resp, accepted)),
+    entry_row(MsgType::kUtilPhase2Req, offsetof(UtilPhase2Req, entry)),
+    entry_row(MsgType::kUtilAccepted, offsetof(UtilAccepted, entry)),
+    fixed_row<UtilNack>(MsgType::kUtilNack),
+    // Protocol batches carry >= 2 commands: a single-command value uses the
+    // legacy frames above.
+    run_row<Phase2BatchReq>(MsgType::kPhase2BatchReq, 2, kMaxCommandsPerBatch),
+    run_row<Phase2BatchAcked>(MsgType::kPhase2BatchAcked, 2, kMaxCommandsPerBatch),
+    run_row<OpxBatchAcceptReq>(MsgType::kOpxBatchAcceptReq, 2, kMaxCommandsPerBatch),
+    run_row<OpxBatchLearn>(MsgType::kOpxBatchLearn, 2, kMaxCommandsPerBatch),
+    // The one protocol batch that may carry a single command: the overflow
+    // of a full Phase1Resp array.
+    run_row<Phase1BatchResp>(MsgType::kPhase1BatchResp, 1, kMaxCommandsPerBatch),
+    run_row<OpxPrepareBatchResp>(MsgType::kOpxPrepareBatchResp, 2, kMaxCommandsPerBatch),
+    run_row<OpxWindowBody>(MsgType::kOpxWindowBody, 2, kMaxCommandsPerBatch),
+    fixed_row<OpxWindowFetchReq>(MsgType::kOpxWindowFetchReq),
+    // Client runs stay inline. A coalescing window may close with one
+    // command queued, so 1 is legal; senders still prefer kClientRequest
+    // for singles, so default wire traffic is unchanged.
+    run_row<ClientCmdBatch>(MsgType::kClientCmdBatch, 1, kMaxClientBatchCommands),
+    // A run of 1 uses the legacy kOpxLearn frame; the cap is the catch-up
+    // window.
+    run_row<OpxLearnRun>(MsgType::kOpxLearnRun, 2, kMaxLearnRunCommands),
+    fixed_row<LeaseGrant>(MsgType::kLeaseGrant),
+};
+
+constexpr bool wire_rows_ok() {
+  if (std::size(kWireRows) != static_cast<std::size_t>(MsgType::kEnd)) return false;
+  for (std::size_t i = 0; i < std::size(kWireRows); ++i) {
+    const WireRow& r = kWireRows[i];
+    if (r.type != static_cast<MsgType>(i)) return false;
+    // Counts sit among the fixed fields, and a CommandRun holds 1..64.
+    if (r.elem != 0 && r.count_at + sizeof(std::int32_t) > r.fixed) return false;
+    if (r.tail == Tail::kRun && (r.min_count < 1 || r.max_count > kMaxCommandsPerBatch)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(wire_rows_ok(), "kWireRows needs one well-formed row per MsgType, in enum order");
+
+// The row of a kind, or nullptr for a type byte that names none.
+inline const WireRow* wire_row(MsgType t) {
+  const auto i = static_cast<std::size_t>(t);
+  return i < std::size(kWireRows) ? &kWireRows[i] : nullptr;
+}
 
 // Encoded frame size of a message (header + compact payload). Variable-
 // length payloads — proposal arrays, command runs — are truncated to their

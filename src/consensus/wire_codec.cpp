@@ -1,6 +1,7 @@
 #include "consensus/wire_codec.hpp"
 
 #include <cstring>
+#include <new>
 
 #include "common/check.hpp"
 
@@ -9,69 +10,18 @@ namespace ci::wire {
 using consensus::Command;
 using consensus::CommandPool;
 using consensus::CommandRun;
-using consensus::kMaxCommandsPerBatch;
 using consensus::kMessageHeaderBytes;
 using consensus::Message;
-using consensus::MsgType;
+using consensus::Tail;
+using consensus::WireRow;
 
 namespace {
 
-// The batched payloads all follow one shape: fixed fields, a count, and a
-// CommandRun. This view erases the per-type struct so encode/decode handle
-// them uniformly; fixed is the payload-relative offset of the run (pinned
-// by static_asserts in message.hpp). min_count/max_count bound the legal
-// run per type: protocol batches need >= 2 (singles use legacy frames),
-// client coalescing tolerates 1, learn runs cap at the catch-up window.
-struct RunView {
-  std::size_t fixed = 0;
-  CommandRun* run = nullptr;
-  std::int32_t count = 0;
-  std::int32_t min_count = 2;
-  std::int32_t max_count = kMaxCommandsPerBatch;
-};
-
-// Non-const so decode can assign into the run; encode uses it read-only.
-bool run_view(Message& m, RunView* v) {
-  switch (m.type) {
-    case MsgType::kPhase2BatchReq:
-      *v = {offsetof(consensus::Phase2BatchReq, run), &m.u.phase2_batch_req.run,
-            m.u.phase2_batch_req.count};
-      return true;
-    case MsgType::kPhase2BatchAcked:
-      *v = {offsetof(consensus::Phase2BatchAcked, run), &m.u.phase2_batch_acked.run,
-            m.u.phase2_batch_acked.count};
-      return true;
-    case MsgType::kPhase1BatchResp:
-      *v = {offsetof(consensus::Phase1BatchResp, run), &m.u.phase1_batch_resp.run,
-            m.u.phase1_batch_resp.count, /*min_count=*/1, kMaxCommandsPerBatch};
-      return true;
-    case MsgType::kOpxBatchAcceptReq:
-      *v = {offsetof(consensus::OpxBatchAcceptReq, run), &m.u.opx_batch_accept_req.run,
-            m.u.opx_batch_accept_req.count};
-      return true;
-    case MsgType::kOpxBatchLearn:
-      *v = {offsetof(consensus::OpxBatchLearn, run), &m.u.opx_batch_learn.run,
-            m.u.opx_batch_learn.count};
-      return true;
-    case MsgType::kOpxPrepareBatchResp:
-      *v = {offsetof(consensus::OpxPrepareBatchResp, run), &m.u.opx_prepare_batch_resp.run,
-            m.u.opx_prepare_batch_resp.count};
-      return true;
-    case MsgType::kOpxWindowBody:
-      *v = {offsetof(consensus::OpxWindowBody, run), &m.u.opx_window_body.run,
-            m.u.opx_window_body.count};
-      return true;
-    case MsgType::kClientCmdBatch:
-      *v = {offsetof(consensus::ClientCmdBatch, run), &m.u.client_cmd_batch.run,
-            m.u.client_cmd_batch.count, /*min_count=*/1, consensus::kMaxClientBatchCommands};
-      return true;
-    case MsgType::kOpxLearnRun:
-      *v = {offsetof(consensus::OpxLearnRun, run), &m.u.opx_learn_run.run,
-            m.u.opx_learn_run.count, /*min_count=*/2, consensus::kMaxLearnRunCommands};
-      return true;
-    default:
-      return false;
-  }
+// The CommandRun of a kRun kind: its commands follow the fixed fields on
+// the wire, where the fixed-size cmds[] array used to sit.
+const CommandRun& run_of(const WireRow& r, const Message& m) {
+  return *std::launder(reinterpret_cast<const CommandRun*>(
+      reinterpret_cast<const unsigned char*>(&m.u) + r.fixed));
 }
 
 }  // namespace
@@ -95,17 +45,18 @@ std::uint32_t encode_into(const Message& m, FrameWriter& w, consensus::NodeId sr
   std::memcpy(hdr + offsetof(Message, src), &src, sizeof(src));
   std::memcpy(hdr + offsetof(Message, dst), &dst, sizeof(dst));
   const auto* body = reinterpret_cast<const unsigned char*>(&m) + kMessageHeaderBytes;
-  RunView v;
-  if (run_view(const_cast<Message&>(m), &v)) {
-    CI_CHECK_MSG(v.count >= v.min_count && v.count <= v.max_count,
+  const WireRow* row = consensus::wire_row(m.type);
+  if (row != nullptr && row->tail == Tail::kRun) {
+    const std::int32_t count = row->count(m);
+    CI_CHECK_MSG(count >= row->min_count && count <= row->max_count,
                  "encoding a batched frame with a bogus count");
-    const std::size_t cmds = static_cast<std::size_t>(v.count) * sizeof(Command);
+    const std::size_t cmds = static_cast<std::size_t>(count) * sizeof(Command);
     w.append(hdr, kMessageHeaderBytes);
-    w.append(body, v.fixed);
+    w.append(body, row->fixed);
     // Pooled runs are read straight out of the pool block here — the one
     // and only copy of the body after the sender packed it.
-    w.append(v.run->data(v.count), cmds);
-    return static_cast<std::uint32_t>(kMessageHeaderBytes + v.fixed + cmds);
+    w.append(run_of(*row, m).data(count), cmds);
+    return static_cast<std::uint32_t>(kMessageHeaderBytes + row->fixed + cmds);
   }
   const std::size_t n = consensus::wire_size(m);
   CI_CHECK(n <= kMaxFrameBytes);
@@ -123,23 +74,22 @@ bool try_decode(const unsigned char* buf, std::size_t n, Message* out) {
   if (n < kMessageHeaderBytes || n > kMaxFrameBytes) return false;
   Message m;  // zero-filled payload: undelivered frame bytes read as zeroes
   std::memcpy(static_cast<void*>(&m), buf, kMessageHeaderBytes);
-  RunView v;
-  if (run_view(m, &v)) {
-    const std::size_t fixed = kMessageHeaderBytes + v.fixed;
+  const WireRow* row = consensus::wire_row(m.type);
+  if (row == nullptr) return false;
+  if (row->tail == Tail::kRun) {
+    const std::size_t fixed = kMessageHeaderBytes + row->fixed;
     if (n < fixed) return false;
     std::memcpy(static_cast<void*>(&m), buf, fixed);
-    if (!run_view(m, &v)) return false;  // re-read with the real count
-    if (v.count < v.min_count || v.count > v.max_count) return false;
-    const std::size_t cmds = static_cast<std::size_t>(v.count) * sizeof(Command);
-    if (n < fixed + cmds) return false;  // truncated command run
+    // Bounds the count and checks the frame holds the whole run.
     if (!consensus::wire_validate(m, n)) return false;
     // All checks passed: materialize the run (may allocate a pool block the
     // caller now owns through *out).
-    v.run->assign(reinterpret_cast<const Command*>(buf + fixed), v.count);
+    const_cast<CommandRun&>(run_of(*row, m))
+        .assign(reinterpret_cast<const Command*>(buf + fixed), row->count(m));
     *out = m;
     return true;
   }
-  if (n > sizeof(Message)) return false;  // legacy frames are struct prefixes
+  if (n > sizeof(Message)) return false;  // other frames are struct prefixes
   std::memcpy(static_cast<void*>(&m), buf, n);
   if (!consensus::wire_validate(m, n)) return false;
   *out = m;
@@ -147,26 +97,16 @@ bool try_decode(const unsigned char* buf, std::size_t n, Message* out) {
 }
 
 void release_body(const Message& m) {
-  RunView v;
-  if (!run_view(const_cast<Message&>(m), &v)) return;
-  if (v.count > consensus::kInlineBatchCommands && v.run->ref) {
-    CommandPool::local().release(v.run->ref);
+  const WireRow* row = consensus::wire_row(m.type);
+  if (row == nullptr || row->tail != Tail::kRun) return;
+  const CommandRun& run = run_of(*row, m);
+  if (row->count(m) > consensus::kInlineBatchCommands && run.ref) {
+    CommandPool::local().release(run.ref);
   }
 }
 
 std::uint32_t max_frame_bytes(const consensus::BatchPolicy& policy) {
-  const std::size_t batch_frame =
-      kMessageHeaderBytes + kMaxBatchFixedBytes +
-      static_cast<std::size_t>(policy.commands_cap()) * sizeof(Command);
-  const std::size_t entry_frame = kMessageHeaderBytes +
-                                  offsetof(consensus::UtilPhase1Resp, accepted) +
-                                  sizeof(consensus::UtilityEntry);
-  // Catch-up learn runs are policy-independent: even a batch=1 deployment
-  // can coalesce up to kMaxLearnRunCommands decided singles in one frame.
-  const std::size_t learn_run_frame =
-      kMessageHeaderBytes + offsetof(consensus::OpxLearnRun, run) +
-      static_cast<std::size_t>(consensus::kMaxLearnRunCommands) * sizeof(Command);
-  return static_cast<std::uint32_t>(std::max({batch_frame, entry_frame, learn_run_frame}));
+  return static_cast<std::uint32_t>(max_frame_bytes(policy.commands_cap()));
 }
 
 }  // namespace ci::wire

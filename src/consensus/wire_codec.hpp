@@ -20,8 +20,8 @@
 //   * building a batched message (CommandRun::assign / pack_batch) hands
 //     the block's single reference to that message;
 //   * ctx.send() CONSUMES the reference — the transport either encodes the
-//     frame immediately (rt) or holds the message and releases after
-//     delivery (sim, FakeNet); the sender must not touch the run after
+//     frame immediately (rt, net, sim) or holds the message and releases
+//     after delivery (FakeNet); the sender must not touch the run after
 //     send();
 //   * decode() allocates a fresh block for long runs on the receiving side;
 //     the transport releases it (release_body) once the handler returns —
@@ -41,28 +41,31 @@
 
 namespace ci::wire {
 
-// Largest fixed-field region among the batched frame kinds (the codec
+// Largest fixed-field region among the run-carrying kinds (the codec
 // writes commands immediately after it).
-inline constexpr std::size_t kMaxBatchFixedBytes = std::max({
-    offsetof(consensus::Phase2BatchReq, run),
-    offsetof(consensus::Phase2BatchAcked, run),
-    offsetof(consensus::Phase1BatchResp, run),
-    offsetof(consensus::OpxBatchAcceptReq, run),
-    offsetof(consensus::OpxBatchLearn, run),
-    offsetof(consensus::OpxPrepareBatchResp, run),
-    offsetof(consensus::OpxWindowBody, run),
-    offsetof(consensus::OpxLearnRun, run),
-});
+inline constexpr std::size_t kMaxBatchFixedBytes = [] {
+  std::size_t n = 0;
+  for (const consensus::WireRow& r : consensus::kWireRows) {
+    if (r.tail == consensus::Tail::kRun) n = std::max(n, r.fixed);
+  }
+  return n;
+}();
 
-// Upper bound on any encoded frame: either a full-capacity batched frame or
-// the largest contiguous payload. Transport buffers and queue sizing derive
-// from this — NOT from sizeof(Message), which no longer bounds a frame now
-// that command runs live out of line.
-inline constexpr std::size_t kMaxFrameBytes =
-    consensus::kMessageHeaderBytes +
-    std::max(sizeof(consensus::Message::Payload),
-             kMaxBatchFixedBytes + static_cast<std::size_t>(consensus::kMaxCommandsPerBatch) *
-                                       sizeof(consensus::Command));
+// Largest frame any kind can put on the wire when protocol batches are
+// capped at `batch_cap` commands.
+constexpr std::size_t max_frame_bytes(std::int32_t batch_cap) {
+  std::size_t n = 0;
+  for (const consensus::WireRow& r : consensus::kWireRows) n = std::max(n, r.max_bytes(batch_cap));
+  return consensus::kMessageHeaderBytes + n;
+}
+
+// Upper bound on any encoded frame: a full-capacity batched frame.
+// Transport buffers and queue sizing derive from this — NOT from
+// sizeof(Message), which no longer bounds a frame now that command runs
+// live out of line.
+inline constexpr std::size_t kMaxFrameBytes = max_frame_bytes(consensus::kMaxCommandsPerBatch);
+static_assert(kMaxFrameBytes == consensus::kMessageHeaderBytes + kMaxBatchFixedBytes +
+                                    consensus::kMaxCommandsPerBatch * sizeof(consensus::Command));
 
 // Encoded size of `m`'s frame (== consensus::wire_size).
 inline std::size_t frame_size(const consensus::Message& m) { return consensus::wire_size(m); }
@@ -135,10 +138,9 @@ bool try_decode(const unsigned char* buf, std::size_t n, consensus::Message* out
 // whose run is inline or absent.
 void release_body(const consensus::Message& m);
 
-// Largest frame a deployment with this batch policy can put on the wire:
-// a commands_cap()-sized batched frame or a reconfiguration entry frame,
-// whichever is bigger. rt queue/stack sizing uses this instead of
-// sizeof(Message).
+// Largest frame a deployment with this batch policy can put on the wire
+// (max_frame_bytes at its commands_cap()). rt queue sizing uses this
+// instead of sizeof(Message).
 std::uint32_t max_frame_bytes(const consensus::BatchPolicy& policy);
 
 }  // namespace ci::wire

@@ -1,6 +1,7 @@
 #include "sim/sim_net.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 #include "consensus/wire_codec.hpp"
@@ -12,27 +13,34 @@ SimNet::SimNet(const LatencyModel& model, std::uint64_t seed, Nanos tick_period)
   CI_CHECK(tick_period_ > 0);
 }
 
-SimNet::~SimNet() {
-  // Undelivered self-sends own their pooled command bodies (the sender's
-  // custody moved into the event on send); return them to the pool.
-  // Cross-node events hold only encoded frames — their bodies went back to
-  // the pool at encode time.
-  for (Event& e : event_queue_) {
-    if (e.kind == Event::Kind::kMessage && e.msg != nullptr) wire::release_body(*e.msg);
-  }
+namespace {
+
+// Frame buffers come in power-of-two size classes, kMinFrameClassBytes and
+// up; the top class is capped at the largest frame.
+constexpr std::size_t kMinFrameClassBytes = 64;
+
+// Frames are never shorter than the message header.
+std::size_t frame_class(std::uint32_t len) {
+  return static_cast<std::size_t>(std::bit_width((len - 1) / kMinFrameClassBytes));
 }
 
-std::unique_ptr<unsigned char[]> SimNet::acquire_frame() {
-  if (!frame_pool_.empty()) {
-    auto buf = std::move(frame_pool_.back());
-    frame_pool_.pop_back();
+}  // namespace
+
+std::unique_ptr<unsigned char[]> SimNet::acquire_frame(std::uint32_t len) {
+  static_assert(std::bit_width((wire::kMaxFrameBytes - 1) / kMinFrameClassBytes) < kFrameClasses,
+                "the top frame class must hold the largest frame");
+  auto& pool = frame_pool_[frame_class(len)];
+  if (!pool.empty()) {
+    auto buf = std::move(pool.back());
+    pool.pop_back();
     return buf;
   }
-  return std::make_unique<unsigned char[]>(wire::kMaxFrameBytes);
+  return std::make_unique_for_overwrite<unsigned char[]>(
+      std::min(kMinFrameClassBytes << frame_class(len), wire::kMaxFrameBytes));
 }
 
-void SimNet::recycle_frame(std::unique_ptr<unsigned char[]> frame) {
-  frame_pool_.push_back(std::move(frame));
+void SimNet::recycle_frame(std::unique_ptr<unsigned char[]> frame, std::uint32_t len) {
+  frame_pool_[frame_class(len)].push_back(std::move(frame));
 }
 
 void SimNet::add_node(Engine* engine) {
@@ -99,46 +107,42 @@ void SimNet::send_from(NodeCtx& src, NodeId dst, const Message& m) {
   e.seq = seq_++;
   e.kind = Event::Kind::kMessage;
   e.node = dst;
+  const std::size_t frame_bytes = wire::frame_size(m);
   if (dst == src.id_) {
     // Local delivery between collapsed roles: no node boundary is crossed,
-    // nothing is serialized, no transmission cost is charged (Fig. 3 counts
-    // only crossing messages). Delivered once the current handler finishes.
-    e.msg = std::make_unique<Message>(m);
-    e.msg->src = src.id_;
-    e.msg->dst = dst;
+    // no transmission cost is charged (Fig. 3 counts only crossing
+    // messages). Delivered once the current handler finishes.
     e.time = src.busy_until;
-    push_event(std::move(e));
-    return;
-  }
-  const double f = core::slow_window_factor(src.slow_windows, src.id_, src.busy_until);
-  const std::size_t frame_bytes = wire::frame_size(m);
-  // trans_send is the per-message cost; per_byte_cost (off by default) adds
-  // the bandwidth term from the frame size the codec reports. Both are CPU
-  // work on the sending core, so both scale with its slowdown factor.
-  src.busy_until += static_cast<Nanos>(
-      static_cast<double>(model_.trans_send + model_.per_byte_cost(frame_bytes)) * f);
-  src.logical_now = src.busy_until;
-  src.sent++;
-  src.sent_bytes += frame_bytes;
-  if (model_.drop_probability > 0 && rng_.next_bool(model_.drop_probability)) {
-    dropped_++;
-    wire::release_body(m);  // send consumed the body; the frame dies unsent
-    return;
+  } else {
+    const double f = core::slow_window_factor(src.slow_windows, src.id_, src.busy_until);
+    // trans_send is the per-message cost; per_byte_cost (off by default) adds
+    // the bandwidth term from the frame size the codec reports. Both are CPU
+    // work on the sending core, so both scale with its slowdown factor.
+    src.busy_until += static_cast<Nanos>(
+        static_cast<double>(model_.trans_send + model_.per_byte_cost(frame_bytes)) * f);
+    src.logical_now = src.busy_until;
+    src.sent++;
+    src.sent_bytes += frame_bytes;
+    if (model_.drop_probability > 0 && rng_.next_bool(model_.drop_probability)) {
+      dropped_++;
+      wire::release_body(m);  // send consumed the body; the frame dies unsent
+      return;
+    }
+    const Nanos jitter =
+        model_.prop_jitter > 0 ? static_cast<Nanos>(rng_.next_below(
+                                     static_cast<std::uint64_t>(model_.prop_jitter)))
+                               : 0;
+    e.time = src.busy_until + model_.prop + jitter;
   }
   // Encode at send: the event carries the wire frame, with src/dst stamped
   // mid-encode — the in-memory Message and its pooled run are released here,
   // and each field byte moved exactly once.
-  e.frame = acquire_frame();
+  e.frame = acquire_frame(static_cast<std::uint32_t>(frame_bytes));
   wire::BufferWriter w(e.frame.get());
   const std::uint32_t written = wire::encode_into(m, w, src.id_, dst);
   CI_CHECK(written == frame_bytes);
   wire::release_body(m);
   e.frame_len = written;
-  const Nanos jitter =
-      model_.prop_jitter > 0 ? static_cast<Nanos>(rng_.next_below(
-                                   static_cast<std::uint64_t>(model_.prop_jitter)))
-                             : 0;
-  e.time = src.busy_until + model_.prop + jitter;
   push_event(std::move(e));
 }
 
@@ -151,20 +155,15 @@ void SimNet::process(Event& e) {
       n.busy_until = t0 + static_cast<Nanos>(
                               static_cast<double>(model_.trans_recv + model_.handler_cost) * f);
       n.logical_now = n.busy_until;
-      if (e.frame != nullptr) {
-        // Cross-node: decode the wire frame the sender encoded (allocating a
-        // fresh pooled body if the frame carries a command run), deliver,
-        // then recycle both the body and the buffer.
-        Message m;
-        CI_CHECK_MSG(wire::try_decode(e.frame.get(), e.frame_len, &m),
-                     "malformed frame in the sim network");
-        n.engine_->on_message(n, m);
-        wire::release_body(m);
-        recycle_frame(std::move(e.frame));
-      } else {
-        n.engine_->on_message(n, *e.msg);
-        wire::release_body(*e.msg);  // delivery consumed the event's custody
-      }
+      // Decode the wire frame the sender encoded (allocating a fresh pooled
+      // body if the frame carries a command run), deliver, then recycle both
+      // the body and the buffer.
+      Message m;
+      CI_CHECK_MSG(wire::try_decode(e.frame.get(), e.frame_len, &m),
+                   "malformed frame in the sim network");
+      n.engine_->on_message(n, m);
+      wire::release_body(m);
+      recycle_frame(std::move(e.frame), e.frame_len);
       break;
     }
     case Event::Kind::kTick: {

@@ -12,6 +12,8 @@
 // orders by (time, sequence number) and all jitter comes from one seeded RNG.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -35,8 +37,6 @@ using core::LatencyModel;
 class SimNet {
  public:
   SimNet(const LatencyModel& model, std::uint64_t seed, Nanos tick_period);
-  // Messages still in flight may own pooled command bodies; hand them back.
-  ~SimNet();
 
   // Nodes must be added before run(); ids are dense from 0.
   void add_node(Engine* engine);
@@ -77,21 +77,20 @@ class SimNet {
 
  private:
   // Move-only: payloads ride behind pointers so heap sift operations move
-  // ~80 bytes instead of copying a multi-kilobyte Message union or frame.
+  // ~64 bytes instead of copying a frame.
   //
-  // Cross-node messages are ENCODED AT SEND: the event carries the wire
-  // frame (a pooled buffer, recycled after delivery or drop), not the
+  // Messages are ENCODED AT SEND: the event carries the wire frame (a
+  // pooled buffer sized to the frame, recycled after delivery), not the
   // in-memory Message — each field byte moves exactly once, engine memory
   // to frame, mirroring what a socket backend would transmit. Self-sends
-  // keep the full Message copy: no node boundary is crossed, so nothing is
-  // serialized (and nothing is charged).
+  // between collapsed roles travel as frames too, but are not charged or
+  // counted: no node boundary is crossed.
   struct Event {
     Nanos time = 0;
     std::uint64_t seq = 0;
     enum class Kind : std::uint8_t { kMessage, kTick, kCall } kind = Kind::kMessage;
     NodeId node = -1;
-    std::unique_ptr<Message> msg;               // kMessage, self-sends only
-    std::unique_ptr<unsigned char[]> frame;     // kMessage, cross-node only
+    std::unique_ptr<unsigned char[]> frame;  // kMessage
     std::uint32_t frame_len = 0;
     std::function<void()> call;
 
@@ -144,8 +143,8 @@ class SimNet {
   void send_from(NodeCtx& src, NodeId dst, const Message& m);
   void push_event(Event e);
   void process(Event& e);
-  std::unique_ptr<unsigned char[]> acquire_frame();
-  void recycle_frame(std::unique_ptr<unsigned char[]> frame);
+  std::unique_ptr<unsigned char[]> acquire_frame(std::uint32_t len);
+  void recycle_frame(std::unique_ptr<unsigned char[]> frame, std::uint32_t len);
 
   LatencyModel model_;
   Rng rng_;
@@ -158,10 +157,13 @@ class SimNet {
   // Binary min-heap over (time, seq), maintained with std::push_heap /
   // std::pop_heap (std::priority_queue cannot hand move-only elements back).
   std::vector<Event> event_queue_;
-  // Recycled frame buffers (each wire::kMaxFrameBytes): the steady state
-  // allocates nothing per send — in-flight depth sets the pool's high-water
-  // mark once and buffers cycle through it thereafter.
-  std::vector<std::unique_ptr<unsigned char[]>> frame_pool_;
+  // Recycled frame buffers, one free list per power-of-two size class
+  // (sim_net.cpp): a queued event holds a buffer sized to its frame, not to
+  // the largest frame. The steady state allocates nothing per send —
+  // in-flight depth sets each list's high-water mark once and buffers cycle
+  // through it thereafter.
+  static constexpr std::size_t kFrameClasses = 7;  // 64 B .. wire::kMaxFrameBytes
+  std::array<std::vector<std::unique_ptr<unsigned char[]>>, kFrameClasses> frame_pool_;
 };
 
 }  // namespace ci::sim

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -81,6 +84,10 @@ Message rand_batched(Rng& rng, MsgType type, const Batch& value) {
       m.u.opx_window_body.digest = batch_digest(value);
       m.u.opx_window_body.count = m.u.opx_window_body.run.pack(value);
       break;
+    case MsgType::kClientCmdBatch:
+      m.proto = ProtoId::kClient;
+      m.u.client_cmd_batch.count = m.u.client_cmd_batch.run.pack(value);
+      break;
     case MsgType::kOpxLearnRun:
       m.u.opx_learn_run.first_instance = in;
       m.u.opx_learn_run.count = m.u.opx_learn_run.run.pack(value);
@@ -91,11 +98,14 @@ Message rand_batched(Rng& rng, MsgType type, const Batch& value) {
   return m;
 }
 
-const MsgType kBatchKinds[] = {
-    MsgType::kPhase2BatchReq,  MsgType::kPhase2BatchAcked,    MsgType::kPhase1BatchResp,
-    MsgType::kOpxBatchAcceptReq, MsgType::kOpxBatchLearn,
-    MsgType::kOpxPrepareBatchResp, MsgType::kOpxWindowBody,
-};
+// Every run-carrying kind, with its count bounds, from the message table.
+std::vector<WireRow> run_rows() {
+  std::vector<WireRow> out;
+  for (const WireRow& r : kWireRows) {
+    if (r.tail == Tail::kRun) out.push_back(r);
+  }
+  return out;
+}
 
 // Frame-level equality is semantic equality: encode() reads the commands
 // through whatever representation (inline or pooled) each side holds, so
@@ -112,12 +122,14 @@ void expect_same_frame(const Message& a, const Message& b) {
 TEST(WireCodec, RoundTripRandomizedBatchSizesAllKinds) {
   Rng rng(0xC0DEC);
   const std::size_t live0 = CommandPool::local().live();
-  for (const MsgType kind : kBatchKinds) {
+  for (const WireRow& row : run_rows()) {
+    const MsgType kind = row.type;
     for (int iter = 0; iter < 40; ++iter) {
       // Cover the inline/pooled boundary densely, the rest uniformly.
       const std::int32_t count =
-          iter < 8 ? 2 + iter
-                   : static_cast<std::int32_t>(2 + rng.next_below(kMaxCommandsPerBatch - 1));
+          iter < 8 ? std::min(2 + iter, row.max_count)
+                   : static_cast<std::int32_t>(
+                         2 + rng.next_below(static_cast<std::uint64_t>(row.max_count - 1)));
       const Batch value = rand_batch(rng, count);
       Message m = rand_batched(rng, kind, value);
       unsigned char buf[ci::wire::kMaxFrameBytes];
@@ -154,9 +166,9 @@ TEST(WireCodec, TruncatedFramesAreRejected) {
   Rng rng(0xBAD);
   const std::size_t live0 = CommandPool::local().live();
   std::vector<Message> samples;
-  for (const MsgType kind : kBatchKinds) {
-    samples.push_back(rand_batched(rng, kind, rand_batch(rng, 2)));
-    samples.push_back(rand_batched(rng, kind, rand_batch(rng, kMaxCommandsPerBatch)));
+  for (const WireRow& row : run_rows()) {
+    samples.push_back(rand_batched(rng, row.type, rand_batch(rng, 2)));
+    samples.push_back(rand_batched(rng, row.type, rand_batch(rng, row.max_count)));
   }
   {
     Message m(MsgType::kOpxAcceptReq, ProtoId::kOnePaxos, 0, 1);
@@ -756,6 +768,114 @@ TEST(WireCodec, EveryKindEncodesToItsPinnedBytes) {
   }
   for (std::size_t t = 0; t < seen.size(); ++t) EXPECT_TRUE(seen[t]) << "type " << t << " unpinned";
   EXPECT_EQ(CommandPool::local().live(), live0);
+}
+
+// ---- Mutation fuzz over every row ----
+
+// try_decode either rejects the bytes, or returns a message that passes
+// wire_validate, re-encodes to exactly wire_size bytes, and owns every pool
+// block it allocated (released here, so the live count must come back).
+bool decodes_soundly(const unsigned char* buf, std::size_t n) {
+  const std::size_t live0 = CommandPool::local().live();
+  bool ok = true;
+  Message out;
+  if (ci::wire::try_decode(buf, n, &out)) {
+    unsigned char re[ci::wire::kMaxFrameBytes];
+    ok = wire_validate(out, wire_size(out)) && ci::wire::encode(out, re) == wire_size(out);
+    ci::wire::release_body(out);
+  }
+  return ok && CommandPool::local().live() == live0;
+}
+
+bool decodes(const unsigned char* buf, std::size_t n) {
+  Message out;
+  if (!ci::wire::try_decode(buf, n, &out)) return false;
+  ci::wire::release_body(out);
+  return true;
+}
+
+void put_i32(unsigned char* at, std::int32_t v) { std::memcpy(at, &v, sizeof(v)); }
+
+TEST(WireCodec, MutatedFramesOfEveryKindDecodeSoundlyOrNotAtAll) {
+  Rng rng(0xF022);
+  const std::size_t live0 = CommandPool::local().live();
+  for (const PinnedFrame& pin : kPinnedFrames) {
+    const WireRow& row = *wire_row(pin.type);
+    const std::string what = "type " + std::to_string(static_cast<int>(pin.type)) + " count " +
+                             std::to_string(pin.count);
+    Message m = pinned_message(pin.type, pin.count);
+    // The valid frame, followed by random bytes up to the largest length a
+    // frame of this kind may be offered at.
+    unsigned char frame[ci::wire::kMaxFrameBytes];
+    for (unsigned char& b : frame) b = static_cast<unsigned char>(rng.next_below(256));
+    const std::uint32_t n = ci::wire::encode(m, frame);
+    ci::wire::release_body(m);
+    const std::size_t room = row.tail == Tail::kRun ? ci::wire::kMaxFrameBytes : sizeof(Message);
+    ASSERT_TRUE(decodes(frame, n)) << what;
+    unsigned char buf[ci::wire::kMaxFrameBytes];
+
+    // Count fields at and just past their bounds. In-bounds counts decode
+    // once the buffer holds the whole tail; out-of-bounds counts never do.
+    struct CountField {
+      std::size_t at;  // frame offset
+      std::int32_t lo, hi;
+    };
+    std::vector<CountField> fields;
+    const std::size_t payload = kMessageHeaderBytes;
+    if (row.elem != 0) fields.push_back({payload + row.count_at, row.min_count, row.max_count});
+    if (row.sidecars_at != 0) {
+      fields.push_back({payload + row.sidecars_at, 0, std::numeric_limits<std::int32_t>::max()});
+    }
+    if (row.tail == Tail::kEntry) {
+      const std::size_t entry = payload + row.fixed;
+      fields.push_back({entry + offsetof(UtilityEntry, num_proposals), 0, kMaxProposalsPerMsg});
+      fields.push_back({entry + offsetof(UtilityEntry, num_batched), 0, kMaxBatchedPerEntry});
+    }
+    for (const CountField& f : fields) {
+      for (const std::int64_t v : {std::int64_t{f.lo} - 1, std::int64_t{f.lo}, std::int64_t{f.hi},
+                                   std::int64_t{f.hi} + 1}) {
+        if (v < std::numeric_limits<std::int32_t>::min() ||
+            v > std::numeric_limits<std::int32_t>::max()) {
+          continue;
+        }
+        std::memcpy(buf, frame, sizeof(frame));
+        put_i32(buf + f.at, static_cast<std::int32_t>(v));
+        const bool in_bounds = v >= f.lo && v <= f.hi;
+        EXPECT_TRUE(decodes_soundly(buf, n)) << what << " count " << v;
+        EXPECT_TRUE(decodes_soundly(buf, room)) << what << " count " << v;
+        if (!in_bounds) {
+          EXPECT_FALSE(decodes(buf, n)) << what << " count " << v;
+          EXPECT_FALSE(decodes(buf, room)) << what << " count " << v;
+        } else if (row.tail != Tail::kEntry) {
+          // (Entry counts also gate the random batched-ref counts behind them.)
+          EXPECT_TRUE(decodes(buf, room)) << what << " count " << v;
+        }
+      }
+    }
+
+    // Random byte flips, header included.
+    for (int iter = 0; iter < 64; ++iter) {
+      std::memcpy(buf, frame, sizeof(frame));
+      const int flips = 1 + static_cast<int>(rng.next_below(3));
+      for (int k = 0; k < flips; ++k) {
+        buf[rng.next_below(n)] ^= static_cast<unsigned char>(1 + rng.next_below(255));
+      }
+      EXPECT_TRUE(decodes_soundly(buf, n)) << what << " flip iter " << iter;
+    }
+
+    // Every truncation is rejected.
+    for (std::uint32_t k = 0; k < n; ++k) {
+      EXPECT_FALSE(decodes(frame, k)) << what << " prefix " << k;
+    }
+
+    // Appended bytes.
+    for (int iter = 0; iter < 16; ++iter) {
+      const std::size_t extra = 1 + rng.next_below(64);
+      EXPECT_TRUE(decodes_soundly(frame, std::min(n + extra, room)))
+          << what << " +" << extra << " bytes";
+    }
+  }
+  EXPECT_EQ(CommandPool::local().live(), live0) << "pool blocks leaked";
 }
 
 // ---- CI wire budgets ----
