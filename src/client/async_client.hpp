@@ -7,8 +7,8 @@
 // token back immediately. Blocking is a wrapper — execute() is
 // submit().wait(), flush() waits for everything in flight. This is the one
 // piece of code that speaks the client wire protocol: seq stamping, reply
-// matching, leader-hint retargeting, the legacy-vs-kClientCmdBatch frame
-// choice, and the §7.6 retry — on timeout the request goes to the next
+// matching, leader-hint retargeting, the kClientRequest-vs-kClientCmdBatch
+// frame choice, and the §7.6 retry — on timeout the request goes to the next
 // replica with the leader-suspect flag set. The closed-loop load generator
 // (closed_loop.hpp) drives one of these rather than repeating any of it.
 //
@@ -24,8 +24,8 @@
 // additionally marks a run of commands to travel to the replica in shared
 // kClientCmdBatch frames (one frame per kMaxClientBatchCommands chunk) —
 // the cross-shard transaction driver uses it for its per-group fan-out.
-// Retries always degrade to per-command legacy frames, so a lost batch
-// frame costs nothing but the amortization.
+// Retries always degrade to per-command kClientRequest frames, so a lost
+// batch frame costs nothing but the amortization.
 //
 // Allocation discipline: the pipeline is bounded, so ALL per-command state
 // lives in fixed arrays — a ring for the not-yet-sent backlog, a slot array
@@ -64,9 +64,9 @@ struct AsyncClientConfig {
 
   // Coalescing window: N > 1 lets each tick gather up to N consecutive
   // plain queued commands (those not already part of a submit_run() run)
-  // into one kClientCmdBatch frame. N = 1 sends every command as a legacy
-  // kClientRequest — bit-identical to the uncoalesced wire. Bounded by
-  // kMaxClientBatchCommands; retries always degrade to legacy frames.
+  // into one kClientCmdBatch frame. N = 1 sends every command as its own
+  // kClientRequest. Bounded by kMaxClientBatchCommands; retries always
+  // degrade to kClientRequest frames.
   std::int32_t coalesce = 1;
 
   // Simulator bridge: when set, blocking waits advance virtual time by
@@ -386,7 +386,7 @@ class AsyncClientEngine final : public Engine {
   }
 
   // Members of one run travel together in kClientCmdBatch frames; plain
-  // commands go as a legacy kClientRequest, or in coalesced chunks when
+  // commands go as a kClientRequest each, or in coalesced chunks when
   // cfg_.coalesce > 1.
   void launch_locked(Context& ctx, Nanos now) {
     while (queued_count_ > 0) {
@@ -409,9 +409,9 @@ class AsyncClientEngine final : public Engine {
 
   // The front of the queue starts a chunk: peel up to `window` consecutive
   // commands with the same run id (run 0 = plain commands under coalescing)
-  // and ship them in one kClientCmdBatch frame. A chunk of one keeps the
-  // legacy kClientRequest — the wire never pays the batch header for a
-  // single command.
+  // and ship them in one kClientCmdBatch frame. A chunk of one goes as a
+  // kClientRequest — the wire never pays the batch header for a single
+  // command.
   void launch_chunk_locked(Context& ctx, Nanos now, std::uint32_t run,
                            std::int32_t window) {
     std::array<Pending, consensus::kMaxClientBatchCommands> chunk;

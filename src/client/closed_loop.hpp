@@ -2,11 +2,11 @@
 // reply, optionally think, send the next. It generates and measures load
 // only; the AsyncClientEngine it owns does all of the wire protocol — seq
 // stamping, reply matching, leader-hint retargeting, the §7.6 retry to the
-// next replica with the leader-suspect flag, and the legacy-vs-
+// next replica with the leader-suspect flag, and the kClientRequest-vs-
 // kClientCmdBatch frame choice.
 //
 // A round is AsyncClientConfig::coalesce commands (1 = the classic
-// one-request loop, bit-identical on the wire; N > 1 ships the round in one
+// one-request loop; N > 1 ships the round in one
 // kClientCmdBatch frame and completes it when every reply lands, each
 // command recording its own latency). With no think time the next round
 // goes out inside the event that delivered the last reply, not on the next

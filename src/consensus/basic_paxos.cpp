@@ -34,11 +34,14 @@ void BasicPaxosEngine::on_message(Context& ctx, const Message& m) {
     case MsgType::kPhase1Resp:
       handle_phase1_resp(ctx, m);
       return;
-    case MsgType::kPhase2Req:
-      handle_phase2_req(ctx, m);
+    // Values here are single commands, sent as runs of one. A longer run
+    // is no Basic-Paxos sender's and is ignored (a socket may carry any
+    // count the wire admits).
+    case MsgType::kPhase2BatchReq:
+      if (m.u.phase2_batch_req.count == 1) handle_phase2_req(ctx, m);
       return;
-    case MsgType::kPhase2Acked:
-      handle_phase2_acked(ctx, m);
+    case MsgType::kPhase2BatchAcked:
+      if (m.u.phase2_batch_acked.count == 1) handle_phase2_acked(ctx, m);
       return;
     case MsgType::kNack:
       handle_nack(ctx, m);
@@ -98,12 +101,26 @@ void BasicPaxosEngine::start_accept(Context& ctx, Instance in, ProposerState& p)
   p.phase = ProposerState::Phase::kAccept;
   p.last_send = ctx.now();
   for (NodeId r = 0; r < cfg_.num_replicas; ++r) {
-    Message m(MsgType::kPhase2Req, ProtoId::kBasicPaxos, cfg_.self, r);
-    m.u.phase2_req.instance = in;
-    m.u.phase2_req.pn = p.pn;
-    m.u.phase2_req.value = p.value;
+    Message m(MsgType::kPhase2BatchReq, ProtoId::kBasicPaxos, cfg_.self, r);
+    m.u.phase2_batch_req.instance = in;
+    m.u.phase2_batch_req.pn = p.pn;
+    m.u.phase2_batch_req.count = 1;
+    m.u.phase2_batch_req.run.assign(&p.value, 1);
     ctx.send(r, m);
   }
+}
+
+// One acceptance frame: a decided catch-up (kFlagDecided, no ballot) or a
+// live acceptance at `pn`.
+void BasicPaxosEngine::send_acked(Context& ctx, NodeId dst, Instance in, ProposalNum pn,
+                                  const Command& value, bool decided) {
+  Message acked(MsgType::kPhase2BatchAcked, ProtoId::kBasicPaxos, cfg_.self, dst);
+  if (decided) acked.flags = kFlagDecided;
+  acked.u.phase2_batch_acked.instance = in;
+  acked.u.phase2_batch_acked.pn = pn;
+  acked.u.phase2_batch_acked.count = 1;
+  acked.u.phase2_batch_acked.run.assign(&value, 1);
+  ctx.send(dst, acked);
 }
 
 void BasicPaxosEngine::handle_phase1_req(Context& ctx, const Message& m) {
@@ -112,12 +129,7 @@ void BasicPaxosEngine::handle_phase1_req(Context& ctx, const Message& m) {
   if (log_.is_learned(in)) {
     // Already decided: short-circuit with the chosen value so a lagging
     // proposer converges instead of fighting settled history.
-    Message acked(MsgType::kPhase2Acked, ProtoId::kBasicPaxos, cfg_.self, m.src);
-    acked.u.phase2_acked.instance = in;
-    acked.u.phase2_acked.pn = ProposalNum{};  // flagging "decided"
-    acked.u.phase2_acked.value = *log_.get(in);
-    acked.flags = 1;  // decided marker
-    ctx.send(m.src, acked);
+    send_acked(ctx, m.src, in, ProposalNum{}, *log_.get(in), /*decided=*/true);
     return;
   }
   auto& cell = acceptors_[in];
@@ -161,25 +173,18 @@ void BasicPaxosEngine::handle_phase1_resp(Context& ctx, const Message& m) {
 }
 
 void BasicPaxosEngine::handle_phase2_req(Context& ctx, const Message& m) {
-  const Instance in = m.u.phase2_req.instance;
-  const ProposalNum pn = m.u.phase2_req.pn;
+  const Instance in = m.u.phase2_batch_req.instance;
+  const ProposalNum pn = m.u.phase2_batch_req.pn;
+  const Command& value = m.u.phase2_batch_req.run.inline_cmds[0];
   if (log_.is_learned(in)) {
-    Message acked(MsgType::kPhase2Acked, ProtoId::kBasicPaxos, cfg_.self, m.src);
-    acked.u.phase2_acked.instance = in;
-    acked.u.phase2_acked.value = *log_.get(in);
-    acked.flags = 1;
-    ctx.send(m.src, acked);
+    send_acked(ctx, m.src, in, ProposalNum{}, *log_.get(in), /*decided=*/true);
     return;
   }
   auto& cell = acceptors_[in];
-  if (cell.phase2(pn, m.u.phase2_req.value)) {
+  if (cell.phase2(pn, value)) {
     // Accepted: broadcast to all learners (every replica).
     for (NodeId r = 0; r < cfg_.num_replicas; ++r) {
-      Message acked(MsgType::kPhase2Acked, ProtoId::kBasicPaxos, cfg_.self, r);
-      acked.u.phase2_acked.instance = in;
-      acked.u.phase2_acked.pn = pn;
-      acked.u.phase2_acked.value = m.u.phase2_req.value;
-      ctx.send(r, acked);
+      send_acked(ctx, r, in, pn, value, /*decided=*/false);
     }
   } else {
     Message nack(MsgType::kNack, ProtoId::kBasicPaxos, cfg_.self, m.src);
@@ -190,16 +195,17 @@ void BasicPaxosEngine::handle_phase2_req(Context& ctx, const Message& m) {
 }
 
 void BasicPaxosEngine::handle_phase2_acked(Context& ctx, const Message& m) {
-  const Instance in = m.u.phase2_acked.instance;
+  const Instance in = m.u.phase2_batch_acked.instance;
+  const Command& value = m.u.phase2_batch_acked.run.inline_cmds[0];
   if (log_.is_learned(in)) return;
-  if (m.flags == 1) {
+  if ((m.flags & kFlagDecided) != 0) {
     // Decided-value catch-up (not an acceptance count).
-    learn(ctx, in, m.u.phase2_acked.value);
+    learn(ctx, in, value);
     return;
   }
   auto& learner = learners_[in];
-  if (learner.record(m.u.phase2_acked.pn, m.src, majority(cfg_.num_replicas))) {
-    learn(ctx, in, m.u.phase2_acked.value);
+  if (learner.record(m.u.phase2_batch_acked.pn, m.src, majority(cfg_.num_replicas))) {
+    learn(ctx, in, value);
   }
 }
 

@@ -47,6 +47,8 @@ class BasicPaxosEngine final : public Engine {
   void propose_next(Context& ctx);
   void start_prepare(Context& ctx, Instance in, ProposerState& p);
   void start_accept(Context& ctx, Instance in, ProposerState& p);
+  void send_acked(Context& ctx, NodeId dst, Instance in, ProposalNum pn, const Command& value,
+                  bool decided);
   void handle_phase1_req(Context& ctx, const Message& m);
   void handle_phase1_resp(Context& ctx, const Message& m);
   void handle_phase2_req(Context& ctx, const Message& m);

@@ -10,8 +10,8 @@
 // process events serially, so saturation emerges from message counts).
 //
 // The degenerate policy (max_commands == 1, the default) produces only
-// single-command batches, which travel in the exact legacy wire frames —
-// an unbatched deployment's traffic and results are reproduced bit for bit.
+// single-command batches: every instance decides a run of one, the classic
+// one-command-per-instance regime.
 #pragma once
 
 #include <algorithm>
@@ -43,8 +43,8 @@ struct BatchPolicy {
   //     stock kAdaptiveDefaultHold.
   enum class FlushMode : std::uint8_t { kFixed, kAdaptive };
 
-  // Commands per instance; 1 (default) reproduces unbatched behavior
-  // bit-identically. Clamped to [1, kMaxCommandsPerBatch].
+  // Commands per instance; 1 (default) decides one command per instance.
+  // Clamped to [1, kMaxCommandsPerBatch].
   std::int32_t max_commands = 1;
 
   // Payload-byte budget per batch. Commands are indivisible: a single
@@ -126,7 +126,7 @@ class Batcher {
   // True when a batch should be proposed now. `outstanding` is the number
   // of instances the caller already has in flight:
   //   * unbatched policy — any pending command goes at once (the classic
-  //     regime, bit-identical to pre-batching behavior);
+  //     one-command-per-instance regime);
   //   * batching — a full batch always goes; a partial batch goes only when
   //     the pipeline is idle and its oldest command has waited out the
   //     flush policy (group commit: in-flight decides flush the accumulated
@@ -211,6 +211,14 @@ inline std::int32_t pack_batch(const Batch& b, Command* out) {
 inline Batch unpack_batch(const Command* cmds, std::int32_t count) {
   CI_CHECK(count >= 1 && count <= kMaxCommandsPerBatch);
   return Batch(cmds, cmds + count);
+}
+
+// unpack_batch into a caller-owned batch, reusing its capacity: an engine
+// decodes every received run into one scratch batch without allocating.
+inline const Batch& unpack_into(Batch& out, const Command* cmds, std::int32_t count) {
+  CI_CHECK(count >= 1 && count <= kMaxCommandsPerBatch);
+  out.assign(cmds, cmds + count);
+  return out;
 }
 
 // Order-sensitive digest of a command run (FNV-1a over the semantic fields,

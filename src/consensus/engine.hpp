@@ -51,7 +51,7 @@ struct EngineConfig {
   std::int32_t pipeline_window = kMaxProposalsPerMsg / 2;
 
   // Leader-side request batching (consensus/batch.hpp). The default
-  // (max_commands == 1) reproduces unbatched behavior bit for bit.
+  // (max_commands == 1) decides one command per instance.
   BatchPolicy batch;
 
   // Leader leases (DESIGN.md §1f). lease_duration > 0 makes heartbeats

@@ -12,9 +12,9 @@ const UtilityEntry& entry_of(const WireRow& r, const Message& m) {
 }
 
 std::size_t entry_bytes(const UtilityEntry& e) {
-  // Entries without batched proposals keep the pre-batching layout: the
-  // appended batched[] region is never serialized, so legacy traffic is
-  // unchanged byte for byte (receivers zero-fill, so num_batched reads 0).
+  // Entries without batched proposals serialize only the proposals they
+  // hold: the appended batched[] region is left off (receivers zero-fill,
+  // so num_batched reads 0).
   if (e.num_batched == 0) {
     return offsetof(UtilityEntry, proposals) +
            static_cast<std::size_t>(e.num_proposals) * sizeof(Proposal);

@@ -59,16 +59,12 @@ enum class MsgType : std::uint8_t {
   // Paxos phases (Basic- and Multi-Paxos, §2.3).
   kPhase1Req,    // prepare request
   kPhase1Resp,   // promise, carrying accepted proposals
-  kPhase2Req,    // accept request
-  kPhase2Acked,  // acceptor -> learners broadcast
   kNack,         // reject with higher ballot
 
   // 1Paxos (§5, Appendix A).
   kOpxPrepareReq,
   kOpxPrepareResp,
-  kOpxAcceptReq,
   kOpxAbandon,
-  kOpxLearn,       // single active acceptor -> all learners
   kOpxCatchupReq,  // lagging learner -> leader: re-send decided values
 
   // PaxosUtility (§5.2).
@@ -78,14 +74,13 @@ enum class MsgType : std::uint8_t {
   kUtilAccepted,
   kUtilNack,
 
-  // Batched fast path (leader-side request batching; consensus/batch.hpp).
-  // One instance deciding a run of >= 2 commands. Single-command batches
-  // use the legacy frames above, so an unbatched deployment's wire traffic
-  // is unchanged byte for byte.
-  kPhase2BatchReq,    // Multi-Paxos accept carrying a batch
-  kPhase2BatchAcked,  // acceptor broadcast / decided catch-up for a batch
-  kOpxBatchAcceptReq,
-  kOpxBatchLearn,
+  // The agreement fast path: one instance deciding a run of 1..64
+  // commands (a Batch, consensus/batch.hpp). A single command is a run of
+  // one, so each protocol has one accept frame and one learn frame.
+  kPhase2BatchReq,     // Multi-Paxos accept request
+  kPhase2BatchAcked,   // acceptor -> learners broadcast / decided catch-up
+  kOpxBatchAcceptReq,  // 1Paxos accept request
+  kOpxBatchLearn,      // single active acceptor -> all learners
 
   // Batched recovery sidecars: one per batched accepted-but-undecided
   // instance, sent BEFORE the main phase-1 / prepare response, which counts
@@ -111,17 +106,16 @@ enum class MsgType : std::uint8_t {
   // one group's replica. The GroupDemuxEngine on the receiving node
   // decomposes the run into ordinary kClientRequest deliveries, so every
   // protocol engine handles the commands without knowing the frame exists;
-  // replies stay per-command. Coalescing senders still emit single-command
-  // submissions as legacy kClientRequest frames, so unbatched wire traffic
-  // is unchanged (count == 1 is merely tolerated on decode).
+  // replies stay per-command. Coalescing senders send a lone command as a
+  // kClientRequest; a run of one is legal too.
   kClientCmdBatch,
 
-  // Catch-up run (1Paxos): a run of count (>= 2) CONSECUTIVE instances
+  // Catch-up run (1Paxos): a run of count (1..16) CONSECUTIVE instances
   // starting at first_instance, each of which decided exactly ONE command
-  // (cmds[i] is the whole value of first_instance + i). Replaces the
-  // per-instance kOpxLearn resends a lagging learner's kOpxCatchupReq used
-  // to trigger: one header amortizes over the run. Instances that decided
-  // multi-command batches still ride kOpxBatchLearn.
+  // (cmds[i] is the whole value of first_instance + i). A lagging
+  // learner's kOpxCatchupReq is answered with these, so one header
+  // amortizes over the run. Instances that decided multi-command batches
+  // ride kOpxBatchLearn.
   kOpxLearnRun,
 
   // Leader-lease grant (follower -> leader): the follower promises not to
@@ -139,7 +133,7 @@ enum class MsgType : std::uint8_t {
 };
 
 // Message::flags bits.
-inline constexpr std::uint16_t kFlagDecided = 1;        // Phase2Acked carries a decided value
+inline constexpr std::uint16_t kFlagDecided = 1;        // an acceptance carries a decided value
 inline constexpr std::uint16_t kFlagLeaderSuspect = 2;  // client re-sent after a timeout
 inline constexpr std::uint16_t kFlagEstablishing = 4;   // heartbeat from a leader mid-recovery
 
@@ -215,18 +209,6 @@ struct Phase1Resp {
   Proposal proposals[kMaxProposalsPerMsg];  // accepted values >= from_instance
 };
 
-struct Phase2Req {
-  Instance instance = kNoInstance;
-  ProposalNum pn;
-  Command value;
-};
-
-struct Phase2Acked {
-  Instance instance = kNoInstance;
-  ProposalNum pn;
-  Command value;
-};
-
 struct Nack {
   Instance instance = kNoInstance;
   ProposalNum higher_pn;  // the ballot the acceptor is promised to
@@ -254,33 +236,21 @@ struct OpxPrepareResp {
   Proposal accepted[kMaxProposalsPerMsg];  // ap: the acceptor's short-term memory
 };
 
-struct OpxAcceptReq {
-  Instance instance = kNoInstance;
-  ProposalNum pn;
-  Command value;
-};
-
 struct OpxAbandon {
   ProposalNum higher_pn;
-};
-
-struct OpxLearn {
-  Instance instance = kNoInstance;
-  Command value;
 };
 
 struct OpxCatchupReq {
   Instance from_instance = 0;  // send decided values from here on
 };
 
-// ---- Batched payloads ----
-// One instance whose value is a run of count (>= 2) commands. In memory the
-// run is a CommandRun: inline up to kInlineBatchCommands, out of line in
-// the CommandPool beyond that. On the wire the codec serializes the fixed
-// fields (everything before the run — their offsets are pinned below, so
-// frames are byte-identical to the fixed-size era) followed by exactly
-// `count` commands: a batch of k costs one header plus k commands — the
-// amortization the batching layer buys.
+// ---- Run payloads ----
+// One instance whose value is a run of `count` commands. In memory the run
+// is a CommandRun: inline up to kInlineBatchCommands, out of line in the
+// CommandPool beyond that. On the wire the codec serializes the fixed
+// fields (everything before the run; their offsets are pinned below)
+// followed by exactly `count` commands: a batch of k costs one header plus
+// k commands — the amortization the batching layer buys.
 
 struct CommandRun {
   BodyRef ref;  // non-null iff the run is pooled (count > kInlineBatchCommands)
@@ -532,14 +502,10 @@ struct Message {
     LeaseGrant lease_grant;
     Phase1Req phase1_req;
     Phase1Resp phase1_resp;
-    Phase2Req phase2_req;
-    Phase2Acked phase2_acked;
     Nack nack;
     OpxPrepareReq opx_prepare_req;
     OpxPrepareResp opx_prepare_resp;
-    OpxAcceptReq opx_accept_req;
     OpxAbandon opx_abandon;
-    OpxLearn opx_learn;
     OpxCatchupReq opx_catchup_req;
     UtilPhase1Req util_phase1_req;
     UtilPhase1Resp util_phase1_resp;
@@ -573,17 +539,14 @@ inline constexpr std::size_t kMessageHeaderBytes = offsetof(Message, u);
 // 8-byte aligned); growing the header would change every wire frame.
 static_assert(kMessageHeaderBytes == 16);
 
-// The batching counters must occupy pre-existing struct padding: moving the
-// proposal arrays would change the single-command wire frames that batching
-// promises to keep byte-identical.
+// The batching counters occupy former struct padding, so the proposal
+// arrays keep their offsets and these frames their layout.
 static_assert(offsetof(Phase1Resp, proposals) == 24);
 static_assert(offsetof(OpxPrepareResp, accepted) == 40);
 static_assert(offsetof(UtilityEntry, proposals) == 32);
 
-// A batch frame's fixed fields end where its command run begins; pinning
-// the run offsets pins the frame prefix the codec serializes, keeping
-// batched wire frames byte-identical to the fixed-size era (the commands
-// followed the fixed fields at these very offsets).
+// A run frame's fixed fields end where its command run begins; pinning the
+// run offsets pins the frame prefix the codec serializes.
 static_assert(offsetof(Phase2BatchReq, run) == 32);
 static_assert(offsetof(Phase2BatchAcked, run) == 32);
 static_assert(offsetof(Phase1BatchResp, run) == 48);
@@ -702,42 +665,38 @@ inline constexpr WireRow kWireRows[] = {
      .fixed = offsetof(Phase1Resp, proposals), .elem = sizeof(Proposal),
      .count_at = offsetof(Phase1Resp, num_proposals), .min_count = 0,
      .max_count = kMaxProposalsPerMsg, .sidecars_at = offsetof(Phase1Resp, num_batched)},
-    fixed_row<Phase2Req>(MsgType::kPhase2Req),
-    fixed_row<Phase2Acked>(MsgType::kPhase2Acked),
     fixed_row<Nack>(MsgType::kNack),
     fixed_row<OpxPrepareReq>(MsgType::kOpxPrepareReq),
     {.type = MsgType::kOpxPrepareResp, .tail = Tail::kArray,
      .fixed = offsetof(OpxPrepareResp, accepted), .elem = sizeof(Proposal),
      .count_at = offsetof(OpxPrepareResp, num_accepted), .min_count = 0,
      .max_count = kMaxProposalsPerMsg, .sidecars_at = offsetof(OpxPrepareResp, num_batched)},
-    fixed_row<OpxAcceptReq>(MsgType::kOpxAcceptReq),
     fixed_row<OpxAbandon>(MsgType::kOpxAbandon),
-    fixed_row<OpxLearn>(MsgType::kOpxLearn),
     fixed_row<OpxCatchupReq>(MsgType::kOpxCatchupReq),
     fixed_row<UtilPhase1Req>(MsgType::kUtilPhase1Req),
     entry_row(MsgType::kUtilPhase1Resp, offsetof(UtilPhase1Resp, accepted)),
     entry_row(MsgType::kUtilPhase2Req, offsetof(UtilPhase2Req, entry)),
     entry_row(MsgType::kUtilAccepted, offsetof(UtilAccepted, entry)),
     fixed_row<UtilNack>(MsgType::kUtilNack),
-    // Protocol batches carry >= 2 commands: a single-command value uses the
-    // legacy frames above.
-    run_row<Phase2BatchReq>(MsgType::kPhase2BatchReq, 2, kMaxCommandsPerBatch),
-    run_row<Phase2BatchAcked>(MsgType::kPhase2BatchAcked, 2, kMaxCommandsPerBatch),
-    run_row<OpxBatchAcceptReq>(MsgType::kOpxBatchAcceptReq, 2, kMaxCommandsPerBatch),
-    run_row<OpxBatchLearn>(MsgType::kOpxBatchLearn, 2, kMaxCommandsPerBatch),
-    // The one protocol batch that may carry a single command: the overflow
-    // of a full Phase1Resp array.
+    // Accept and learn frames carry any value: a single command is a run
+    // of one.
+    run_row<Phase2BatchReq>(MsgType::kPhase2BatchReq, 1, kMaxCommandsPerBatch),
+    run_row<Phase2BatchAcked>(MsgType::kPhase2BatchAcked, 1, kMaxCommandsPerBatch),
+    run_row<OpxBatchAcceptReq>(MsgType::kOpxBatchAcceptReq, 1, kMaxCommandsPerBatch),
+    run_row<OpxBatchLearn>(MsgType::kOpxBatchLearn, 1, kMaxCommandsPerBatch),
+    // A Multi-Paxos sidecar may carry a single command: the overflow of a
+    // full Phase1Resp array. A 1Paxos sidecar or window body names a batch
+    // of >= 2 (single-command values ride inline in the main response or
+    // the entry).
     run_row<Phase1BatchResp>(MsgType::kPhase1BatchResp, 1, kMaxCommandsPerBatch),
     run_row<OpxPrepareBatchResp>(MsgType::kOpxPrepareBatchResp, 2, kMaxCommandsPerBatch),
     run_row<OpxWindowBody>(MsgType::kOpxWindowBody, 2, kMaxCommandsPerBatch),
     fixed_row<OpxWindowFetchReq>(MsgType::kOpxWindowFetchReq),
     // Client runs stay inline. A coalescing window may close with one
-    // command queued, so 1 is legal; senders still prefer kClientRequest
-    // for singles, so default wire traffic is unchanged.
+    // command queued, so 1 is legal.
     run_row<ClientCmdBatch>(MsgType::kClientCmdBatch, 1, kMaxClientBatchCommands),
-    // A run of 1 uses the legacy kOpxLearn frame; the cap is the catch-up
-    // window.
-    run_row<OpxLearnRun>(MsgType::kOpxLearnRun, 2, kMaxLearnRunCommands),
+    // The cap is the catch-up window.
+    run_row<OpxLearnRun>(MsgType::kOpxLearnRun, 1, kMaxLearnRunCommands),
     fixed_row<LeaseGrant>(MsgType::kLeaseGrant),
 };
 

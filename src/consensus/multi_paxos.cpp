@@ -73,28 +73,19 @@ void MultiPaxosEngine::on_message(Context& ctx, const Message& m) {
     case MsgType::kPhase1BatchResp:
       handle_phase1_batch_resp(ctx, m);
       return;
-    case MsgType::kPhase2Req:
-      scratch_.assign(1, m.u.phase2_req.value);
-      handle_phase2_req(ctx, m.u.phase2_req.instance, m.u.phase2_req.pn, scratch_, m.src);
-      return;
-    case MsgType::kPhase2BatchReq:
-      handle_phase2_req(ctx, m.u.phase2_batch_req.instance, m.u.phase2_batch_req.pn,
-                        unpack_batch(m.u.phase2_batch_req.run.data(m.u.phase2_batch_req.count),
-                                     m.u.phase2_batch_req.count),
+    case MsgType::kPhase2BatchReq: {
+      const Phase2BatchReq& p = m.u.phase2_batch_req;
+      handle_phase2_req(ctx, p.instance, p.pn, unpack_into(scratch_, p.run.data(p.count), p.count),
                         m.src);
       return;
-    case MsgType::kPhase2Acked:
-      scratch_.assign(1, m.u.phase2_acked.value);
-      handle_phase2_acked(ctx, m.u.phase2_acked.instance, m.u.phase2_acked.pn, scratch_,
-                          m.src, m.flags == 1);
+    }
+    case MsgType::kPhase2BatchAcked: {
+      const Phase2BatchAcked& p = m.u.phase2_batch_acked;
+      handle_phase2_acked(ctx, p.instance, p.pn,
+                          unpack_into(scratch_, p.run.data(p.count), p.count), m.src,
+                          (m.flags & kFlagDecided) != 0);
       return;
-    case MsgType::kPhase2BatchAcked:
-      handle_phase2_acked(
-          ctx, m.u.phase2_batch_acked.instance, m.u.phase2_batch_acked.pn,
-          unpack_batch(m.u.phase2_batch_acked.run.data(m.u.phase2_batch_acked.count),
-                       m.u.phase2_batch_acked.count),
-          m.src, m.flags == 1);
-      return;
+    }
     case MsgType::kNack:
       handle_nack(ctx, m);
       return;
@@ -229,41 +220,24 @@ void MultiPaxosEngine::pump(Context& ctx) {
 
 void MultiPaxosEngine::send_accept(Context& ctx, Instance in, const Batch& value) {
   for (NodeId a = 0; a < acceptor_count(); ++a) {
-    if (value.size() == 1) {
-      Message m(MsgType::kPhase2Req, ProtoId::kMultiPaxos, cfg_.base.self, a);
-      m.u.phase2_req.instance = in;
-      m.u.phase2_req.pn = my_ballot_;
-      m.u.phase2_req.value = value.front();
-      ctx.send(a, m);
-    } else {
-      Message m(MsgType::kPhase2BatchReq, ProtoId::kMultiPaxos, cfg_.base.self, a);
-      m.u.phase2_batch_req.instance = in;
-      m.u.phase2_batch_req.pn = my_ballot_;
-      m.u.phase2_batch_req.count = m.u.phase2_batch_req.run.pack(value);
-      ctx.send(a, m);
-    }
+    Message m(MsgType::kPhase2BatchReq, ProtoId::kMultiPaxos, cfg_.base.self, a);
+    m.u.phase2_batch_req.instance = in;
+    m.u.phase2_batch_req.pn = my_ballot_;
+    m.u.phase2_batch_req.count = m.u.phase2_batch_req.run.pack(value);
+    ctx.send(a, m);
   }
 }
 
-// One acceptance frame for `value` — legacy or batched by size, decided
-// catch-up (flags == 1) or live acceptance.
+// One acceptance frame for `value`: a decided catch-up (kFlagDecided) or a
+// live acceptance.
 void MultiPaxosEngine::send_acked(Context& ctx, NodeId dst, Instance in, ProposalNum pn,
                                   const Batch& value, bool decided) {
-  if (value.size() == 1) {
-    Message acked(MsgType::kPhase2Acked, ProtoId::kMultiPaxos, cfg_.base.self, dst);
-    if (decided) acked.flags = 1;
-    acked.u.phase2_acked.instance = in;
-    acked.u.phase2_acked.pn = pn;
-    acked.u.phase2_acked.value = value.front();
-    ctx.send(dst, acked);
-  } else {
-    Message acked(MsgType::kPhase2BatchAcked, ProtoId::kMultiPaxos, cfg_.base.self, dst);
-    if (decided) acked.flags = 1;
-    acked.u.phase2_batch_acked.instance = in;
-    acked.u.phase2_batch_acked.pn = pn;
-    acked.u.phase2_batch_acked.count = acked.u.phase2_batch_acked.run.pack(value);
-    ctx.send(dst, acked);
-  }
+  Message acked(MsgType::kPhase2BatchAcked, ProtoId::kMultiPaxos, cfg_.base.self, dst);
+  if (decided) acked.flags = kFlagDecided;
+  acked.u.phase2_batch_acked.instance = in;
+  acked.u.phase2_batch_acked.pn = pn;
+  acked.u.phase2_batch_acked.count = acked.u.phase2_batch_acked.run.pack(value);
+  ctx.send(dst, acked);
 }
 
 void MultiPaxosEngine::begin_takeover(Context& ctx) {
@@ -437,7 +411,7 @@ void MultiPaxosEngine::handle_phase2_req(Context& ctx, Instance in, ProposalNum 
                                          const Batch& value, NodeId src) {
   if (log_.is_learned(in)) {
     // Already decided: remind only the retrying proposer (a decided
-    // catch-up carries no ballot, matching the pre-batching frame).
+    // catch-up carries no ballot).
     send_acked(ctx, src, in, ProposalNum{}, *log_.get_batch(in), /*decided=*/true);
     return;
   }

@@ -149,10 +149,10 @@ class MultiPaxosEngine final : public Engine {
   Instance next_instance_ = 0;
   std::unordered_set<std::uint64_t> advocated_;
 
-  // Reused single-command wrapper for the legacy-frame dispatch path, so
-  // the unbatched regime stays allocation-free per message (the vector's
-  // capacity persists across handlers; engines are single-threaded and the
-  // handlers copy the value before any re-entry can occur).
+  // Every received accept or acceptance run decodes into this batch, whose
+  // capacity persists across messages, so decoding a run builds no new
+  // vector. Handlers read it as `const Batch&` and copy what they keep;
+  // only on_message writes it, and no Context delivers a send re-entrantly.
   Batch scratch_;
 
   // Failure detection.

@@ -120,7 +120,7 @@ void PaxosUtility::on_message(Context& ctx, const Message& m) {
       if (const UtilityEntry* e = decided(in); e != nullptr) {
         // Already decided: catch the proposer up.
         Message acc(MsgType::kUtilAccepted, ProtoId::kUtility, cfg_.self, m.src);
-        acc.flags = 1;
+        acc.flags = kFlagDecided;
         acc.u.util_accepted.instance = in;
         acc.u.util_accepted.entry = *e;
         ctx.send(m.src, acc);
@@ -165,7 +165,7 @@ void PaxosUtility::on_message(Context& ctx, const Message& m) {
       const ProposalNum pn = m.u.util_phase2_req.pn;
       if (const UtilityEntry* e = decided(in); e != nullptr) {
         Message acc(MsgType::kUtilAccepted, ProtoId::kUtility, cfg_.self, m.src);
-        acc.flags = 1;
+        acc.flags = kFlagDecided;
         acc.u.util_accepted.instance = in;
         acc.u.util_accepted.entry = *e;
         ctx.send(m.src, acc);
@@ -191,7 +191,7 @@ void PaxosUtility::on_message(Context& ctx, const Message& m) {
     case MsgType::kUtilAccepted: {
       const Instance in = m.u.util_accepted.instance;
       if (decided(in) != nullptr) return;
-      if (m.flags == 1) {
+      if ((m.flags & kFlagDecided) != 0) {
         learn(ctx, in, m.u.util_accepted.entry);
         return;
       }

@@ -3,13 +3,10 @@
 // A frame is the 16-byte message header followed by the payload's compact
 // encoding: fixed fields, then any variable-length tail (proposal arrays,
 // command runs) truncated to its used prefix. For every message whose
-// payload is stored contiguously in the Message this is a plain prefix copy
-// — bit-identical to the fixed-size-Message era, which is what keeps
-// batch=1 deployments byte-stable on the wire. Batched payloads differ only
-// in memory (their command run may live in the CommandPool): the codec
-// serializes the fixed fields at their pinned offsets and appends the
-// commands exactly where the old inline array sat, so batched frames are
-// byte-identical too.
+// payload is stored contiguously in the Message this is a plain prefix copy.
+// Run payloads differ only in memory (their command run may live in the
+// CommandPool): the codec serializes the fixed fields at their pinned
+// offsets and appends the `count` commands right after them.
 //
 // Both backends speak frames through this codec: the rt transport encodes
 // into SPSC slots (rt/wire.hpp delegates here), the simulator charges

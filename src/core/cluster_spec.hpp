@@ -52,7 +52,7 @@ struct WorkloadSpec {
   std::uint64_t requests_per_client = 0; // 0 = run until deadline/stop
   // Client-side coalescing (`--client-coalesce`): N > 1 ships N commands
   // per client round / per session tick in shared kClientCmdBatch frames;
-  // 1 = one legacy frame per command (bit-identical to the classic wire).
+  // 1 = one kClientRequest frame per command (the classic wire).
   std::int32_t client_coalesce = 1;
 };
 

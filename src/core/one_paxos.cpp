@@ -89,29 +89,18 @@ void OnePaxosEngine::on_message(Context& ctx, const Message& m) {
     case MsgType::kClientRequest:
       handle_client_request(ctx, m);
       return;
-    case MsgType::kOpxAcceptReq:
-      scratch_.assign(1, m.u.opx_accept_req.value);
-      handle_accept_req(ctx, m.u.opx_accept_req.instance, m.u.opx_accept_req.pn, scratch_,
+    case MsgType::kOpxBatchAcceptReq: {
+      const OpxBatchAcceptReq& p = m.u.opx_batch_accept_req;
+      handle_accept_req(ctx, p.instance, p.pn, unpack_into(scratch_, p.run.data(p.count), p.count),
                         m.src);
       return;
-    case MsgType::kOpxBatchAcceptReq:
-      handle_accept_req(
-          ctx, m.u.opx_batch_accept_req.instance, m.u.opx_batch_accept_req.pn,
-          unpack_batch(m.u.opx_batch_accept_req.run.data(m.u.opx_batch_accept_req.count),
-                       m.u.opx_batch_accept_req.count),
-          m.src);
-      return;
-    case MsgType::kOpxLearn:
+    }
+    case MsgType::kOpxBatchLearn: {
       if (m.src == active_acceptor_) last_acceptor_contact_ = ctx.now();
-      scratch_.assign(1, m.u.opx_learn.value);
-      learn(ctx, m.u.opx_learn.instance, scratch_);
+      const OpxBatchLearn& p = m.u.opx_batch_learn;
+      learn(ctx, p.instance, unpack_into(scratch_, p.run.data(p.count), p.count));
       return;
-    case MsgType::kOpxBatchLearn:
-      if (m.src == active_acceptor_) last_acceptor_contact_ = ctx.now();
-      learn(ctx, m.u.opx_batch_learn.instance,
-            unpack_batch(m.u.opx_batch_learn.run.data(m.u.opx_batch_learn.count),
-                         m.u.opx_batch_learn.count));
-      return;
+    }
     case MsgType::kOpxLearnRun: {
       // A catch-up run: count consecutive instances, one command each.
       if (m.src == active_acceptor_) last_acceptor_contact_ = ctx.now();
@@ -189,7 +178,7 @@ void OnePaxosEngine::on_message(Context& ctx, const Message& m) {
       // Any node re-sends the decided values it knows (bounded window).
       // Consecutive single-command instances coalesce into one
       // kOpxLearnRun frame; multi-command batches and undecided gaps
-      // break the run and ship as their own legacy learn frames.
+      // break the run, and a batch ships as its own learn frame.
       const Instance from = m.u.opx_catchup_req.from_instance;
       const Instance to = std::min(from + kMaxLearnRunCommands, log_.end());
       Batch run;  // one command per coalesced instance
@@ -338,47 +327,24 @@ void OnePaxosEngine::send_accept(Context& ctx, Instance in) {
   auto& t = accept_times_[in];
   if (t.first_sent == 0) t.first_sent = ctx.now();
   t.last_sent = ctx.now();
-  const Batch& value = proposed_.at(in);
-  if (value.size() == 1) {
-    Message m(MsgType::kOpxAcceptReq, ProtoId::kOnePaxos, cfg_.base.self, active_acceptor_);
-    m.u.opx_accept_req.instance = in;
-    m.u.opx_accept_req.pn = my_pn_;
-    m.u.opx_accept_req.value = value.front();
-    ctx.send(active_acceptor_, m);
-  } else {
-    Message m(MsgType::kOpxBatchAcceptReq, ProtoId::kOnePaxos, cfg_.base.self,
-              active_acceptor_);
-    m.u.opx_batch_accept_req.instance = in;
-    m.u.opx_batch_accept_req.pn = my_pn_;
-    m.u.opx_batch_accept_req.count = m.u.opx_batch_accept_req.run.pack(value);
-    ctx.send(active_acceptor_, m);
-  }
+  Message m(MsgType::kOpxBatchAcceptReq, ProtoId::kOnePaxos, cfg_.base.self, active_acceptor_);
+  m.u.opx_batch_accept_req.instance = in;
+  m.u.opx_batch_accept_req.pn = my_pn_;
+  m.u.opx_batch_accept_req.count = m.u.opx_batch_accept_req.run.pack(proposed_.at(in));
+  ctx.send(active_acceptor_, m);
 }
 
-// One learn frame for `value`, in whichever encoding its size calls for.
 void OnePaxosEngine::send_learn(Context& ctx, NodeId dst, Instance in, const Batch& value) {
-  if (value.size() == 1) {
-    Message l(MsgType::kOpxLearn, ProtoId::kOnePaxos, cfg_.base.self, dst);
-    l.u.opx_learn.instance = in;
-    l.u.opx_learn.value = value.front();
-    ctx.send(dst, l);
-  } else {
-    Message l(MsgType::kOpxBatchLearn, ProtoId::kOnePaxos, cfg_.base.self, dst);
-    l.u.opx_batch_learn.instance = in;
-    l.u.opx_batch_learn.count = l.u.opx_batch_learn.run.pack(value);
-    ctx.send(dst, l);
-  }
+  Message l(MsgType::kOpxBatchLearn, ProtoId::kOnePaxos, cfg_.base.self, dst);
+  l.u.opx_batch_learn.instance = in;
+  l.u.opx_batch_learn.count = l.u.opx_batch_learn.run.pack(value);
+  ctx.send(dst, l);
 }
 
 // One frame for a run of consecutive single-command decided instances
-// starting at `first` (cmds[i] decides first + i). A run of one degenerates
-// to the legacy kOpxLearn so idle catch-up traffic is unchanged.
+// starting at `first` (cmds[i] decides first + i).
 void OnePaxosEngine::send_learn_run(Context& ctx, NodeId dst, Instance first,
                                     const Batch& cmds) {
-  if (cmds.size() == 1) {
-    send_learn(ctx, dst, first, cmds);
-    return;
-  }
   CI_CHECK(cmds.size() <= static_cast<std::size_t>(kMaxLearnRunCommands));
   Message l(MsgType::kOpxLearnRun, ProtoId::kOnePaxos, cfg_.base.self, dst);
   l.u.opx_learn_run.first_instance = first;
@@ -1057,8 +1023,7 @@ void OnePaxosEngine::tick(Context& ctx) {
       // never re-pended).
       if (proposed_.count(gap) == 0 &&
           now - stuck_gap_since_ >= cfg_.base.fd_timeout * 4) {
-        scratch_.assign(1, Command{});
-        proposed_[gap] = scratch_;
+        proposed_[gap] = single_batch(Command{});
         send_accept(ctx, gap);
       }
     } else {

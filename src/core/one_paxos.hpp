@@ -153,9 +153,10 @@ class OnePaxosEngine final : public Engine {
   Batcher pending_;
   std::unordered_set<std::uint64_t> advocated_;
   Instance next_instance_ = 0;
-  // Reused single-command wrapper for the legacy-frame dispatch path, so
-  // the unbatched regime stays allocation-free per message (handlers copy
-  // the value before any re-entry can occur).
+  // Every received accept or learn run decodes into this batch, whose
+  // capacity persists across messages, so decoding a run builds no new
+  // vector. Handlers read it as `const Batch&` and copy what they keep;
+  // no Context delivers a send re-entrantly.
   Batch scratch_;
   // Lower bound below which no new command may ever be allocated: the max
   // of every AcceptorChange frontier observed and every adopted acceptor's

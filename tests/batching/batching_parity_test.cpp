@@ -259,10 +259,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CoalesceParity,
                                             ::testing::Values(1, 8)),
                          coalesce_param_name);
 
-// The degenerate case IS the old system: an explicit --batch=1 policy runs
-// the legacy wire frames and reproduces the default-configuration results
-// bit for bit on the deterministic backend — committed, issued, message
-// count, deliveries, and the full latency distribution.
+// The degenerate case IS the unbatched system: an explicit --batch=1
+// policy reproduces the default-configuration results bit for bit on the
+// deterministic backend — committed, issued, message count, deliveries,
+// and the full latency distribution.
 TEST(BatchingDegenerate, BatchOneReproducesUnbatchedResultsBitForBit) {
   for (const Protocol p : {Protocol::kMultiPaxos, Protocol::kOnePaxos}) {
     SCOPED_TRACE(core::protocol_name(p));

@@ -19,18 +19,23 @@ TEST(Wire, HeaderOnlyMessagesAreTiny) {
 TEST(Wire, FastPathMessagesFitOneSlot) {
   // §6.1: the fast path must fit one 128-byte slot (minus the 8-byte
   // fragment header of the framing layer).
+  // An unbatched instance's accept and learn frames carry runs of one.
   constexpr std::size_t kSlotPayload = 120;
-  Message accept(MsgType::kOpxAcceptReq, ProtoId::kOnePaxos, 0, 1);
+  Message accept(MsgType::kOpxBatchAcceptReq, ProtoId::kOnePaxos, 0, 1);
+  accept.u.opx_batch_accept_req.count = 1;
   EXPECT_LE(wire_size(accept), kSlotPayload);
-  Message learn(MsgType::kOpxLearn, ProtoId::kOnePaxos, 1, 2);
+  Message learn(MsgType::kOpxBatchLearn, ProtoId::kOnePaxos, 1, 2);
+  learn.u.opx_batch_learn.count = 1;
   EXPECT_LE(wire_size(learn), kSlotPayload);
   Message req(MsgType::kClientRequest, ProtoId::kClient, 3, 0);
   EXPECT_LE(wire_size(req), kSlotPayload);
   Message reply(MsgType::kClientReply, ProtoId::kClient, 0, 3);
   EXPECT_LE(wire_size(reply), kSlotPayload);
-  Message p2(MsgType::kPhase2Req, ProtoId::kMultiPaxos, 0, 1);
+  Message p2(MsgType::kPhase2BatchReq, ProtoId::kMultiPaxos, 0, 1);
+  p2.u.phase2_batch_req.count = 1;
   EXPECT_LE(wire_size(p2), kSlotPayload);
-  Message acked(MsgType::kPhase2Acked, ProtoId::kMultiPaxos, 1, 2);
+  Message acked(MsgType::kPhase2BatchAcked, ProtoId::kMultiPaxos, 1, 2);
+  acked.u.phase2_batch_acked.count = 1;
   EXPECT_LE(wire_size(acked), kSlotPayload);
   Message prep(MsgType::kTwoPcPrepare, ProtoId::kTwoPc, 0, 1);
   EXPECT_LE(wire_size(prep), kSlotPayload);
@@ -56,27 +61,31 @@ TEST(Wire, UtilityEntrySizeDependsOnProposals) {
 }
 
 TEST(Wire, RoundTripPreservesContent) {
-  Message m(MsgType::kOpxAcceptReq, ProtoId::kOnePaxos, 2, 1);
-  m.u.opx_accept_req.instance = 42;
-  m.u.opx_accept_req.pn = ProposalNum{7, 2};
-  m.u.opx_accept_req.value.client = 9;
-  m.u.opx_accept_req.value.seq = 3;
-  m.u.opx_accept_req.value.key = 0xdeadbeef;
+  Message m(MsgType::kOpxBatchAcceptReq, ProtoId::kOnePaxos, 2, 1);
+  m.u.opx_batch_accept_req.instance = 42;
+  m.u.opx_batch_accept_req.pn = ProposalNum{7, 2};
+  m.u.opx_batch_accept_req.count = 1;
+  Command& value = m.u.opx_batch_accept_req.run.inline_cmds[0];
+  value.client = 9;
+  value.seq = 3;
+  value.key = 0xdeadbeef;
 
   unsigned char buf[1024];
-  const std::size_t n = wire_size(m);
-  std::memcpy(buf, &m, n);
+  const std::size_t n = ci::wire::encode(m, buf);
+  EXPECT_EQ(n, wire_size(m));
   Message out;
-  std::memcpy(&out, buf, n);
+  ASSERT_TRUE(ci::wire::try_decode(buf, n, &out));
   ASSERT_TRUE(wire_validate(out, n));
-  EXPECT_EQ(out.type, MsgType::kOpxAcceptReq);
-  EXPECT_EQ(out.u.opx_accept_req.instance, 42);
-  EXPECT_EQ(out.u.opx_accept_req.pn, (ProposalNum{7, 2}));
-  EXPECT_EQ(out.u.opx_accept_req.value.key, 0xdeadbeefu);
+  EXPECT_EQ(out.type, MsgType::kOpxBatchAcceptReq);
+  EXPECT_EQ(out.u.opx_batch_accept_req.instance, 42);
+  EXPECT_EQ(out.u.opx_batch_accept_req.pn, (ProposalNum{7, 2}));
+  EXPECT_EQ(out.u.opx_batch_accept_req.count, 1);
+  EXPECT_EQ(out.u.opx_batch_accept_req.run.inline_cmds[0].key, 0xdeadbeefu);
 }
 
 TEST(Wire, ValidateRejectsShortBuffers) {
-  Message m(MsgType::kOpxAcceptReq, ProtoId::kOnePaxos, 0, 1);
+  Message m(MsgType::kOpxBatchAcceptReq, ProtoId::kOnePaxos, 0, 1);
+  m.u.opx_batch_accept_req.count = 1;
   EXPECT_FALSE(wire_validate(m, kMessageHeaderBytes));  // payload missing
   EXPECT_FALSE(wire_validate(m, 2));
   EXPECT_TRUE(wire_validate(m, wire_size(m)));
@@ -133,7 +142,8 @@ TEST(Wire, BatchFramesTruncateToUsedCommands) {
   m.u.phase2_batch_req.count = 8;
   EXPECT_EQ(wire_size(m), two + 6 * sizeof(Command));
   // A batch of 8 costs one header where 8 singles cost 8 — the amortization.
-  Message single(MsgType::kPhase2Req, ProtoId::kMultiPaxos, 0, 1);
+  Message single(MsgType::kPhase2BatchReq, ProtoId::kMultiPaxos, 0, 1);
+  single.u.phase2_batch_req.count = 1;
   EXPECT_LT(wire_size(m), 8 * wire_size(single));
 }
 
@@ -172,10 +182,10 @@ TEST(Wire, BatchLearnRoundTrip) {
 
 TEST(Wire, ValidateRejectsBogusBatchCounts) {
   Message m(MsgType::kPhase2BatchAcked, ProtoId::kMultiPaxos, 0, 1);
-  m.u.phase2_batch_acked.count = 0;  // batches of < 2 use the legacy frames
+  m.u.phase2_batch_acked.count = 0;  // a run holds at least one command
   EXPECT_FALSE(wire_validate(m, sizeof(Message)));
-  m.u.phase2_batch_acked.count = 1;
-  EXPECT_FALSE(wire_validate(m, sizeof(Message)));
+  m.u.phase2_batch_acked.count = 1;  // a single command is a run of one
+  EXPECT_TRUE(wire_validate(m, sizeof(Message)));
   m.u.phase2_batch_acked.count = kMaxCommandsPerBatch + 1;
   EXPECT_FALSE(wire_validate(m, sizeof(Message)));
   m.u.phase2_batch_acked.count = 2;

@@ -97,13 +97,13 @@ TEST(MultiPaxos, TakeoverAfterLeaderSilence) {
 
 TEST(MultiPaxos, TakeoverRecoversAcceptedValue) {
   MpHarness h;
-  // Leader proposes; acceptors accept; but all Phase2Acked to the LEADER are
+  // Leader proposes; acceptors accept; but all acceptances to the LEADER are
   // lost, so nothing is learned at node 0 while acceptors hold the value.
   h.net.inject(test::client_request(3, 0, 1));
-  h.net.step();  // leader -> Phase2Req x3 (incl. self)
-  // Acceptors process the accept and broadcast; drop every Phase2Acked.
+  h.net.step();  // leader -> accept x3 (incl. self)
+  // Acceptors process the accept and broadcast; drop every acceptance.
   h.net.run(6);
-  h.net.drop_if([](const Message& m) { return m.type == MsgType::kPhase2Acked; });
+  h.net.drop_if([](const Message& m) { return m.type == MsgType::kPhase2BatchAcked; });
   h.net.run();
   ASSERT_FALSE(h.at(1).log().is_learned(0));
   // Old leader goes silent; node 1 takes over and must re-propose the
@@ -167,7 +167,7 @@ TEST(MultiPaxos, TakeoverRecoversValueOnlyALearnerStillHolds) {
   // node 2 never saw it.
   h.net.inject(test::client_request(3, 0, 1));
   run_dropping(h, [](const Message& m) {
-    return m.dst == 2 || (m.type == MsgType::kPhase2Acked && m.dst == 1);
+    return m.dst == 2 || (m.type == MsgType::kPhase2BatchAcked && m.dst == 1);
   });
   ASSERT_TRUE(h.at(0).log().is_learned(0));
   ASSERT_FALSE(h.at(1).log().is_learned(0));
@@ -189,7 +189,7 @@ TEST(MultiPaxos, TakeoverRecoversMoreAcceptedValuesThanOneResponseHolds) {
   for (std::uint32_t seq = 1; seq <= kValues; ++seq) {
     h.net.inject(test::client_request(3, 0, seq));
     run_dropping(h, [](const Message& m) {
-      return m.dst == 2 || (m.type == MsgType::kPhase2Acked && m.dst == 1);
+      return m.dst == 2 || (m.type == MsgType::kPhase2BatchAcked && m.dst == 1);
     });
   }
   ASSERT_EQ(h.at(0).log().first_gap(), static_cast<Instance>(kValues));

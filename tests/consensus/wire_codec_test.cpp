@@ -1,6 +1,6 @@
 // wire::Codec: randomized round-trips over every frame kind, strict
-// truncated-frame rejection, bit-identity of legacy (batch=1) frames with
-// the struct-prefix encoding they replaced, pool-custody leak checks, and
+// truncated-frame rejection, fixed-layout frames as plain struct prefixes,
+// every kind's frame pinned byte for byte, pool-custody leak checks, and
 // the CI wire budgets (sizeof(Message) and per-frame byte pins) that make
 // size regressions fail the build.
 #include "consensus/wire_codec.hpp"
@@ -170,12 +170,7 @@ TEST(WireCodec, TruncatedFramesAreRejected) {
     samples.push_back(rand_batched(rng, row.type, rand_batch(rng, 2)));
     samples.push_back(rand_batched(rng, row.type, rand_batch(rng, row.max_count)));
   }
-  {
-    Message m(MsgType::kOpxAcceptReq, ProtoId::kOnePaxos, 0, 1);
-    m.u.opx_accept_req.instance = 3;
-    m.u.opx_accept_req.pn = ProposalNum{2, 0};
-    samples.push_back(m);
-  }
+  samples.push_back(rand_batched(rng, MsgType::kOpxBatchAcceptReq, rand_batch(rng, 1)));
   {
     Message m(MsgType::kPhase1Resp, ProtoId::kMultiPaxos, 1, 0);
     m.u.phase1_resp.pn = ProposalNum{4, 1};
@@ -219,20 +214,13 @@ TEST(WireCodec, GarbageNeverDecodesToAnUnknownTypeOrLeaks) {
 }
 
 TEST(WireCodec, LegacyFramesStayBitIdenticalToStructPrefix) {
-  // The batch=1 promise: every non-batched frame is exactly the struct
-  // prefix it always was — a deployment that never batches is byte-stable
-  // on the wire across this refactor.
+  // Every frame without a command run is exactly the struct prefix of its
+  // payload.
   std::vector<Message> samples;
   {
     Message m(MsgType::kClientRequest, ProtoId::kClient, 3, 0);
     m.u.client_request.cmd.client = 3;
     m.u.client_request.cmd.seq = 9;
-    samples.push_back(m);
-  }
-  {
-    Message m(MsgType::kOpxAcceptReq, ProtoId::kOnePaxos, 0, 1);
-    m.u.opx_accept_req.instance = 42;
-    m.u.opx_accept_req.pn = ProposalNum{7, 0};
     samples.push_back(m);
   }
   {
@@ -348,11 +336,10 @@ TEST(WireCodec, LearnRunRejectsCountsOutsideItsWindow) {
   std::memset(buf, 0, sizeof(buf));
   (void)ci::wire::encode(m, buf);
   ci::wire::release_body(m);
-  // A run of one never travels as kOpxLearnRun (senders degenerate to the
-  // legacy kOpxLearn), so 1 is as invalid on decode as 0 or the protocol
-  // batch cap.
+  // A run holds 1..kMaxLearnRunCommands instances: 0 is as invalid on
+  // decode as the protocol batch cap.
   for (const std::int32_t bogus :
-       {0, 1, kMaxLearnRunCommands + 1, kMaxCommandsPerBatch, -5}) {
+       {0, kMaxLearnRunCommands + 1, kMaxCommandsPerBatch, -5}) {
     std::memcpy(buf + kMessageHeaderBytes + offsetof(OpxLearnRun, count), &bogus,
                 sizeof(bogus));
     Message out;
@@ -422,7 +409,9 @@ TEST(CommandPoolDeathTest, StaleRefTripsTheGuard) {
 // kind (nothing here reads the codec's own per-kind facts). Kinds with a
 // counted tail are built twice: with 2 elements, and with one more than a
 // CommandRun holds inline, so both the inline and the pooled run regimes
-// are pinned (kClientCmdBatch, whose runs stay inline, uses its cap).
+// are pinned (kClientCmdBatch, whose runs stay inline, uses its cap). The
+// accept, learn and catch-up kinds are also pinned as runs of one: the
+// frames of every unbatched instance.
 
 void set_pn(ProposalNum& pn, std::int64_t counter, NodeId node) {
   // Field by field: assigning a ProposalNum temporary could copy
@@ -530,19 +519,6 @@ Message pinned_message(MsgType t, std::int32_t count) {
       u.phase1_resp.num_batched = 1;
       for (std::int32_t i = 0; i < count; ++i) set_proposal(u.phase1_resp.proposals[i], i);
       break;
-    case MsgType::kPhase2Req:
-      m.proto = ProtoId::kMultiPaxos;
-      u.phase2_req.instance = 31;
-      set_pn(u.phase2_req.pn, 5, 2);
-      u.phase2_req.value = pinned_cmd(2);
-      break;
-    case MsgType::kPhase2Acked:
-      m.proto = ProtoId::kMultiPaxos;
-      m.flags = kFlagDecided;
-      u.phase2_acked.instance = 32;
-      set_pn(u.phase2_acked.pn, 5, 2);
-      u.phase2_acked.value = pinned_cmd(3);
-      break;
     case MsgType::kNack:
       m.proto = ProtoId::kMultiPaxos;
       u.nack.instance = 33;
@@ -561,17 +537,8 @@ Message pinned_message(MsgType t, std::int32_t count) {
       u.opx_prepare_resp.num_batched = 1;
       for (std::int32_t i = 0; i < count; ++i) set_proposal(u.opx_prepare_resp.accepted[i], i);
       break;
-    case MsgType::kOpxAcceptReq:
-      u.opx_accept_req.instance = 34;
-      set_pn(u.opx_accept_req.pn, 7, 1);
-      u.opx_accept_req.value = pinned_cmd(4);
-      break;
     case MsgType::kOpxAbandon:
       set_pn(u.opx_abandon.higher_pn, 9, 2);
-      break;
-    case MsgType::kOpxLearn:
-      u.opx_learn.instance = 35;
-      u.opx_learn.value = pinned_cmd(5);
       break;
     case MsgType::kOpxCatchupReq:
       u.opx_catchup_req.from_instance = 36;
@@ -693,8 +660,7 @@ struct PinnedFrame {
   std::uint64_t fnv;
 };
 
-// Generated from the codec before the per-kind message table replaced its
-// switches; a changed value here means a frame byte changed.
+// Generated from the codec; a changed value here means a frame byte changed.
 const PinnedFrame kPinnedFrames[] = {
     {MsgType::kNone, 0, 16, 0xbd838722cc6e492aull},
     {MsgType::kStart, 0, 16, 0x07be36850f95311full},
@@ -713,44 +679,45 @@ const PinnedFrame kPinnedFrames[] = {
     {MsgType::kPhase1Req, 0, 40, 0x6f0e355873371c1eull},
     {MsgType::kPhase1Resp, 2, 152, 0xb29a605769853839ull},
     {MsgType::kPhase1Resp, 9, 544, 0x0cc799e80c228a9eull},
-    {MsgType::kPhase2Req, 0, 72, 0x32ec8d5a0cd5c71dull},
-    {MsgType::kPhase2Acked, 0, 72, 0x1ebaf058716e89dbull},
-    {MsgType::kNack, 0, 48, 0xc04fb8a942496eb9ull},
-    {MsgType::kOpxPrepareReq, 0, 40, 0x86c8e0332913b86bull},
-    {MsgType::kOpxPrepareResp, 2, 168, 0xa3e540be81b45919ull},
-    {MsgType::kOpxPrepareResp, 9, 560, 0xc40351492ee06b7eull},
-    {MsgType::kOpxAcceptReq, 0, 72, 0x0fb8e1f8a4f59781ull},
-    {MsgType::kOpxAbandon, 0, 32, 0x0bd9baf3b8cb8b9eull},
-    {MsgType::kOpxLearn, 0, 56, 0x9a0bf21221af1139ull},
-    {MsgType::kOpxCatchupReq, 0, 24, 0x0654f4adf0c11fdfull},
-    {MsgType::kUtilPhase1Req, 0, 40, 0x62a7c6a461bd0b60ull},
-    {MsgType::kUtilPhase1Resp, 2, 208, 0x17ac245081c5b5f0ull},
-    {MsgType::kUtilPhase1Resp, 9, 1064, 0xfb328f4ca89a1765ull},
-    {MsgType::kUtilPhase2Req, 2, 184, 0x9b760f09a189a3fbull},
-    {MsgType::kUtilPhase2Req, 9, 1040, 0x89fd08ad280cb5eeull},
-    {MsgType::kUtilAccepted, 2, 184, 0x0115ddb6e020bc88ull},
-    {MsgType::kUtilAccepted, 9, 1040, 0x721ae5b3245fd99dull},
-    {MsgType::kUtilNack, 0, 40, 0x360dc6cb94aef731ull},
-    {MsgType::kPhase2BatchReq, 2, 112, 0x282d2660885ceb39ull},
-    {MsgType::kPhase2BatchReq, 9, 336, 0x656667d9e48a549cull},
-    {MsgType::kPhase2BatchAcked, 2, 112, 0x66e37f2fce2cff07ull},
-    {MsgType::kPhase2BatchAcked, 9, 336, 0xb3e693c9ad1a8466ull},
-    {MsgType::kOpxBatchAcceptReq, 2, 112, 0xdcf3574f47be705aull},
-    {MsgType::kOpxBatchAcceptReq, 9, 336, 0xd59ec3a9a4e9a53bull},
-    {MsgType::kOpxBatchLearn, 2, 96, 0x383d21a6d0627e40ull},
-    {MsgType::kOpxBatchLearn, 9, 320, 0x55fa7d01d9b574bdull},
-    {MsgType::kPhase1BatchResp, 2, 128, 0xa27ce12df3657e1aull},
-    {MsgType::kPhase1BatchResp, 9, 352, 0x0d0e939556933ffbull},
-    {MsgType::kOpxPrepareBatchResp, 2, 112, 0x7c583b88d3ce8f25ull},
-    {MsgType::kOpxPrepareBatchResp, 9, 336, 0xb6fc014e5720ad08ull},
-    {MsgType::kOpxWindowBody, 2, 104, 0x29d25f3c6eb53b0aull},
-    {MsgType::kOpxWindowBody, 9, 328, 0x205f3fa94ce487cbull},
-    {MsgType::kOpxWindowFetchReq, 0, 32, 0xdc9276cdf9a7812cull},
-    {MsgType::kClientCmdBatch, 2, 88, 0x74ee4cbf09c2a00aull},
-    {MsgType::kClientCmdBatch, 8, 280, 0x3908885d9775ddc9ull},
-    {MsgType::kOpxLearnRun, 2, 96, 0x2d6d4ee356eb650bull},
-    {MsgType::kOpxLearnRun, 9, 320, 0x88efc4ea9e3bdeeaull},
-    {MsgType::kLeaseGrant, 0, 40, 0x1cc993e4f85c8a99ull},
+    {MsgType::kNack, 0, 48, 0xa5f118844e4a80e7ull},
+    {MsgType::kOpxPrepareReq, 0, 40, 0x872e8d07e31dc9f9ull},
+    {MsgType::kOpxPrepareResp, 2, 168, 0x189236e43e817117ull},
+    {MsgType::kOpxPrepareResp, 9, 560, 0x36aae21af0af5d54ull},
+    {MsgType::kOpxAbandon, 0, 32, 0xe259c34b7533b5e7ull},
+    {MsgType::kOpxCatchupReq, 0, 24, 0x4814c29f789dd6e3ull},
+    {MsgType::kUtilPhase1Req, 0, 40, 0xce212452270dceacull},
+    {MsgType::kUtilPhase1Resp, 2, 208, 0x546279e060a06ca4ull},
+    {MsgType::kUtilPhase1Resp, 9, 1064, 0x6f845a42370f0d59ull},
+    {MsgType::kUtilPhase2Req, 2, 184, 0x51bc4beba16209efull},
+    {MsgType::kUtilPhase2Req, 9, 1040, 0xf1ce2ce80ce6d552ull},
+    {MsgType::kUtilAccepted, 2, 184, 0x0c5f19ae9dc37e5cull},
+    {MsgType::kUtilAccepted, 9, 1040, 0x7637fad4cd9048b1ull},
+    {MsgType::kUtilNack, 0, 40, 0x4da4d10ad17220e5ull},
+    {MsgType::kPhase2BatchReq, 1, 80, 0xf07dddb4da4ce688ull},
+    {MsgType::kPhase2BatchReq, 2, 112, 0x795c839b43d06665ull},
+    {MsgType::kPhase2BatchReq, 9, 336, 0x57cc23f95f0b2ef8ull},
+    {MsgType::kPhase2BatchAcked, 1, 80, 0x382d37b79f8c5b42ull},
+    {MsgType::kPhase2BatchAcked, 2, 112, 0xcd3de7120c378fe3ull},
+    {MsgType::kPhase2BatchAcked, 9, 336, 0xd78c2c0650d24ff2ull},
+    {MsgType::kOpxBatchAcceptReq, 1, 80, 0x04904024d6e2d58full},
+    {MsgType::kOpxBatchAcceptReq, 2, 112, 0xf7846c45c78c2eeeull},
+    {MsgType::kOpxBatchAcceptReq, 9, 336, 0x15b1720af139489full},
+    {MsgType::kOpxBatchLearn, 1, 64, 0x2e2fc71237430d69ull},
+    {MsgType::kOpxBatchLearn, 2, 96, 0xcc7fd76a161289fcull},
+    {MsgType::kOpxBatchLearn, 9, 320, 0xe3132001990098d9ull},
+    {MsgType::kPhase1BatchResp, 2, 128, 0x0f3005db4ebee3aeull},
+    {MsgType::kPhase1BatchResp, 9, 352, 0x5543ff8f1b62715full},
+    {MsgType::kOpxPrepareBatchResp, 2, 112, 0xa48773a0877d36c9ull},
+    {MsgType::kOpxPrepareBatchResp, 9, 336, 0x65ed4f5c7ac01a1cull},
+    {MsgType::kOpxWindowBody, 2, 104, 0x9dccbc4bb9df5396ull},
+    {MsgType::kOpxWindowBody, 9, 328, 0xf4cde0df44922337ull},
+    {MsgType::kOpxWindowFetchReq, 0, 32, 0xfa895226fe0e9080ull},
+    {MsgType::kClientCmdBatch, 2, 88, 0x0ccdb394da608706ull},
+    {MsgType::kClientCmdBatch, 8, 280, 0x7cd82c89e179276dull},
+    {MsgType::kOpxLearnRun, 1, 64, 0x9035363c2741aa0eull},
+    {MsgType::kOpxLearnRun, 2, 96, 0x2bc9dfb457a7c5afull},
+    {MsgType::kOpxLearnRun, 9, 320, 0x6436bddc914f763eull},
+    {MsgType::kLeaseGrant, 0, 40, 0xeecdc0c2149a4965ull},
 };
 
 TEST(WireCodec, EveryKindEncodesToItsPinnedBytes) {
@@ -894,15 +861,19 @@ TEST(WireBudgets, MessageStaysUnderItsBudget) {
 TEST(WireBudgets, PerFrameBytesArePinned) {
   // Fast path: one 128-byte slot minus the 8-byte fragment header.
   constexpr std::size_t kSlotPayload = 120;
-  for (const MsgType t : {MsgType::kClientRequest, MsgType::kClientReply,
-                          MsgType::kOpxAcceptReq, MsgType::kOpxLearn, MsgType::kPhase2Req,
-                          MsgType::kPhase2Acked, MsgType::kHeartbeat}) {
+  for (const MsgType t : {MsgType::kClientRequest, MsgType::kClientReply, MsgType::kHeartbeat}) {
     Message m(t, ProtoId::kOnePaxos, 0, 1);
+    EXPECT_LE(wire_size(m), kSlotPayload) << "type " << static_cast<int>(t);
+  }
+  // An unbatched instance's accept and learn frames: runs of one.
+  Rng rng(13);
+  for (const MsgType t : {MsgType::kOpxBatchAcceptReq, MsgType::kOpxBatchLearn,
+                          MsgType::kPhase2BatchReq, MsgType::kPhase2BatchAcked}) {
+    Message m = rand_batched(rng, t, rand_batch(rng, 1));
     EXPECT_LE(wire_size(m), kSlotPayload) << "type " << static_cast<int>(t);
   }
 
   // A full batch frame: header + fixed fields + count commands, nothing else.
-  Rng rng(13);
   Message big = rand_batched(rng, MsgType::kPhase2BatchReq, rand_batch(rng, 64));
   EXPECT_EQ(wire_size(big),
             kMessageHeaderBytes + offsetof(Phase2BatchReq, run) + 64 * sizeof(Command));

@@ -65,7 +65,7 @@ TEST(OnePaxosFrontier, DecidedInstanceWithLostLearnsIsNeverRefilled) {
   // catch-up runs): node 3's log keeps a hole at instance 0 while the
   // leader commits it.
   auto drop_learns_to_3 = [](const Message& m) {
-    return (m.type == MsgType::kOpxLearn || m.type == MsgType::kOpxLearnRun) && m.dst == 3;
+    return (m.type == MsgType::kOpxBatchLearn || m.type == MsgType::kOpxLearnRun) && m.dst == 3;
   };
   h.run_dropping(drop_learns_to_3);
   ASSERT_TRUE(h.at(0).log().is_learned(0));
@@ -113,7 +113,7 @@ TEST(OnePaxosFrontier, LaggingLearnerCatchesUpViaHeartbeat) {
   h.net.inject(test::client_request(7, 0, 1));
   h.net.inject(test::client_request(7, 0, 2));
   h.run_dropping(
-      [](const Message& m) { return m.type == MsgType::kOpxLearn && m.dst == 2; });
+      [](const Message& m) { return test::single_learn(m) && m.dst == 2; });
   ASSERT_TRUE(h.at(0).log().is_learned(1));
   ASSERT_FALSE(h.at(2).log().is_learned(0));
   // Heartbeats advertise the leader's commit frontier; node 2 requests a

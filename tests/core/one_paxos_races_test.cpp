@@ -123,7 +123,7 @@ TEST(OnePaxosRaces, FullWindowHandoverPreservesEveryProposal) {
   }
   // Deliver requests and accepts, drop all learns, then isolate.
   for (int i = 0; i < 2 * window + 4; ++i) h2.net.step();
-  h2.net.drop_if([](const Message& m) { return m.type == MsgType::kOpxLearn; });
+  h2.net.drop_if(test::single_learn);
   h2.net.isolate(1);
   h2.settle(25);
   ASSERT_TRUE(h2.at(0).is_leader());
@@ -143,7 +143,7 @@ TEST(OnePaxosRaces, CommandDecidedTwiceExecutesOnce) {
   h.net.inject(test::client_request(7, 0, 1, consensus::Op::kWrite, 9, 100));
   h.net.step();  // request at leader
   h.net.step();  // accept at acceptor, learns queued
-  h.net.drop_if([](const Message& m) { return m.type == MsgType::kOpxLearn; });
+  h.net.drop_if(test::single_learn);
   h.net.isolate(0);
   // Retry the same command via node 2 (suspect flag), as a client would.
   Message retry = test::client_request(7, 2, 1, consensus::Op::kWrite, 9, 100);

@@ -68,12 +68,13 @@ TEST(OnePaxos, FastPathMessageSequence) {
   // Leader -> acceptor.
   ASSERT_TRUE(h.net.step());
   ASSERT_EQ(h.net.pending(), 1u);
-  EXPECT_EQ(h.net.peek(0).type, MsgType::kOpxAcceptReq);
+  EXPECT_EQ(h.net.peek(0).type, MsgType::kOpxBatchAcceptReq);
+  EXPECT_EQ(h.net.peek(0).u.opx_batch_accept_req.count, 1);
   EXPECT_EQ(h.net.peek(0).dst, 1);
   // Acceptor -> learn multicast to all three replicas.
   ASSERT_TRUE(h.net.step());
   ASSERT_EQ(h.net.pending(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(h.net.peek(i).type, MsgType::kOpxLearn);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(test::single_learn(h.net.peek(i)));
   h.net.run();
   EXPECT_TRUE(h.at(0).log().is_learned(0));
   EXPECT_TRUE(h.at(2).log().is_learned(0));
@@ -125,7 +126,7 @@ TEST(OnePaxos, AcceptorSwitchHandsOverUncommittedProposals) {
   h.net.inject(test::client_request(3, 0, 1));
   h.net.step();  // request -> leader (accept_req queued)
   h.net.step();  // accept_req -> acceptor (learns queued)
-  h.net.drop_if([](const Message& m) { return m.type == MsgType::kOpxLearn; });
+  h.net.drop_if(test::single_learn);
   h.net.isolate(1);
   h.settle();
   EXPECT_TRUE(h.at(0).is_leader());
@@ -156,7 +157,7 @@ TEST(OnePaxos, LeaderSwitchRegistersAcceptorMemory) {
   h.net.inject(test::client_request(3, 0, 1));
   h.net.step();  // request at leader
   h.net.step();  // accept at acceptor; learns queued
-  h.net.drop_if([](const Message& m) { return m.type == MsgType::kOpxLearn; });
+  h.net.drop_if(test::single_learn);
   h.net.isolate(0);  // old leader gone; acceptor holds ap[0]
   Message m = test::client_request(4, 2, 1);
   m.flags = consensus::kFlagLeaderSuspect;
@@ -305,7 +306,7 @@ TEST(OnePaxos, DuplicateAcceptRequestRebroadcastsLearn) {
   // Acceptor answers with a learn (to the leader at least), not a fresh
   // acceptance.
   ASSERT_GE(h.net.pending(), 1u);
-  EXPECT_EQ(h.net.peek(0).type, MsgType::kOpxLearn);
+  EXPECT_TRUE(test::single_learn(h.net.peek(0)));
   h.net.run();
   EXPECT_TRUE(h.at(0).log().is_learned(0));  // value unchanged
 }
@@ -313,10 +314,11 @@ TEST(OnePaxos, DuplicateAcceptRequestRebroadcastsLearn) {
 TEST(OnePaxos, StaleBallotAcceptAbandoned) {
   OpxHarness h;
   // A forged accept with a stale ballot must be rejected with abandon.
-  Message stale(MsgType::kOpxAcceptReq, consensus::ProtoId::kOnePaxos, 2, 1);
-  stale.u.opx_accept_req.instance = 0;
-  stale.u.opx_accept_req.pn = consensus::ProposalNum{0, 2};  // below hpn {1,0}
-  stale.u.opx_accept_req.value = Command{};
+  Message stale(MsgType::kOpxBatchAcceptReq, consensus::ProtoId::kOnePaxos, 2, 1);
+  stale.u.opx_batch_accept_req.instance = 0;
+  stale.u.opx_batch_accept_req.pn = consensus::ProposalNum{0, 2};  // below hpn {1,0}
+  stale.u.opx_batch_accept_req.count = 1;
+  stale.u.opx_batch_accept_req.run.inline_cmds[0] = Command{};
   h.net.inject(stale);
   ASSERT_TRUE(h.net.step());
   ASSERT_EQ(h.net.pending(), 1u);

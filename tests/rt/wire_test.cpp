@@ -13,18 +13,20 @@ using consensus::MsgType;
 using consensus::ProtoId;
 
 TEST(Wire, EncodeDecodeRoundTrip) {
-  Message m(MsgType::kOpxLearn, ProtoId::kOnePaxos, 1, 2);
-  m.u.opx_learn.instance = 7;
-  m.u.opx_learn.value.client = 3;
-  m.u.opx_learn.value.seq = 9;
+  Message m(MsgType::kOpxBatchLearn, ProtoId::kOnePaxos, 1, 2);
+  m.u.opx_batch_learn.instance = 7;
+  m.u.opx_batch_learn.count = 1;
+  m.u.opx_batch_learn.run.inline_cmds[0].client = 3;
+  m.u.opx_batch_learn.run.inline_cmds[0].seq = 9;
   unsigned char buf[kWireBufBytes];
   const std::uint32_t n = wire::encode(m, buf);
   EXPECT_EQ(n, consensus::wire_size(m));
   Message out;
   ASSERT_TRUE(wire::try_decode(buf, n, &out));
-  EXPECT_EQ(out.type, MsgType::kOpxLearn);
-  EXPECT_EQ(out.u.opx_learn.instance, 7);
-  EXPECT_EQ(out.u.opx_learn.value.seq, 9u);
+  EXPECT_EQ(out.type, MsgType::kOpxBatchLearn);
+  EXPECT_EQ(out.u.opx_batch_learn.instance, 7);
+  EXPECT_EQ(out.u.opx_batch_learn.count, 1);
+  EXPECT_EQ(out.u.opx_batch_learn.run.inline_cmds[0].seq, 9u);
 }
 
 TEST(Wire, DecodeRejectsGarbageType) {

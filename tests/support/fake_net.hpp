@@ -191,6 +191,13 @@ class FakeNet {
   std::set<NodeId> isolated_;
 };
 
+// A 1Paxos learn of one command for one instance: a kOpxBatchLearn of one,
+// or a catch-up kOpxLearnRun of one.
+inline bool single_learn(const Message& m) {
+  return (m.type == MsgType::kOpxBatchLearn && m.u.opx_batch_learn.count == 1) ||
+         (m.type == MsgType::kOpxLearnRun && m.u.opx_learn_run.count == 1);
+}
+
 // Convenience builders.
 inline Message client_request(NodeId client, NodeId dst, std::uint32_t seq,
                               consensus::Op op = consensus::Op::kWrite, std::uint64_t key = 1,
