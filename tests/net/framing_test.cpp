@@ -3,15 +3,18 @@
 // frames, several merged into one recv(), a frame torn at EVERY possible
 // byte position, and one-byte dribble — and must reject the two prefixes
 // that make resynchronization impossible (length 0, length beyond the
-// codec's max frame). Plus the producer half: SendRing wrap-around and
+// codec's max frame) — also under a seeded mutation fuzz of valid streams.
+// Plus the producer half: SendRing wrap-around and
 // RingFrameWriter laying [prefix][frame bytes] that the reassembler then
 // reads back intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/framing.hpp"
 #include "net/send_ring.hpp"
 
@@ -170,6 +173,102 @@ TEST(FrameReassembler, OversizePrefixTornAcrossFeedsIsStillFatal) {
   ASSERT_TRUE(r.feed(buf, 2, sink.cb()));
   EXPECT_EQ(r.pending(), 2u);
   EXPECT_FALSE(r.feed(buf + 2, 2, sink.cb()));
+}
+
+// What a stream's bytes mean, read in one piece: the complete frames up to
+// the first length prefix that is 0 or above kMaxFrame (fatal) or the end
+// of the bytes (a trailing partial is simply not a frame yet).
+struct Parse {
+  std::vector<std::vector<unsigned char>> frames;
+  bool fatal = false;
+};
+
+Parse parse_whole(const std::vector<unsigned char>& s) {
+  Parse out;
+  std::size_t at = 0;
+  while (s.size() - at >= kLenPrefixBytes) {
+    const std::uint32_t len = get_len_prefix(s.data() + at);
+    if (len == 0 || len > kMaxFrame) {
+      out.fatal = true;
+      break;
+    }
+    if (s.size() - at - kLenPrefixBytes < len) break;
+    const auto* f = s.data() + at + kLenPrefixBytes;
+    out.frames.emplace_back(f, f + len);
+    at += kLenPrefixBytes + len;
+  }
+  return out;
+}
+
+TEST(FrameReassembler, MutatedStreamsYieldTheirFramesOrFail) {
+  // Valid streams of random frames, then mutated: re-sliced at random
+  // points (several frames merged into one feed, one frame torn across
+  // many), one length prefix set to an edge or random value, random byte
+  // flips. Whatever the slicing, the reassembler must hand over exactly the
+  // frames the bytes hold (the frames fed in, when nothing was mutated) and
+  // fail exactly where a prefix makes the stream unreadable. Each feed is
+  // its own heap block, so a frame handed over in place must lie inside it.
+  Rng rng(0xF4A3);
+  int fatal_streams = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<std::vector<unsigned char>> fed;
+    std::vector<std::size_t> prefix_at;
+    std::vector<unsigned char> stream;
+    const int nframes = 1 + static_cast<int>(rng.next_below(8));
+    for (int f = 0; f < nframes; ++f) {
+      const auto len = static_cast<std::uint32_t>(1 + rng.next_below(kMaxFrame));
+      fed.push_back(payload(len, static_cast<unsigned char>(rng.next_below(256))));
+      prefix_at.push_back(stream.size());
+      const auto p = prefixed(fed.back());
+      stream.insert(stream.end(), p.begin(), p.end());
+    }
+    const int mutation = static_cast<int>(rng.next_below(3));  // 0: none
+    if (mutation == 1) {
+      const std::uint32_t edges[] = {0, 1, kMaxFrame, kMaxFrame + 1,
+                                     static_cast<std::uint32_t>(rng.next_u64())};
+      put_len_prefix(stream.data() + prefix_at[rng.next_below(prefix_at.size())],
+                     edges[rng.next_below(5)]);
+    } else if (mutation == 2) {
+      const int flips = 1 + static_cast<int>(rng.next_below(4));
+      for (int k = 0; k < flips; ++k) {
+        stream[rng.next_below(stream.size())] ^=
+            static_cast<unsigned char>(1 + rng.next_below(255));
+      }
+    }
+    const Parse want = parse_whole(stream);
+    if (mutation == 0) {
+      ASSERT_FALSE(want.fatal);
+      ASSERT_EQ(want.frames, fed);
+    }
+
+    FrameReassembler r(kMaxFrame);
+    Sink sink;
+    bool ok = true;
+    std::size_t at = 0;
+    while (ok && at < stream.size()) {
+      // Slices from one byte to a few frames long.
+      const std::size_t n = std::min<std::size_t>(
+          stream.size() - at, 1 + rng.next_below(3 * (kLenPrefixBytes + kMaxFrame)));
+      const std::vector<unsigned char> chunk(stream.begin() + static_cast<std::ptrdiff_t>(at),
+                                             stream.begin() + static_cast<std::ptrdiff_t>(at + n));
+      const unsigned char* lo = chunk.data();
+      const unsigned char* hi = lo + chunk.size();
+      ok = r.feed(chunk.data(), chunk.size(), [&](const unsigned char* p, std::uint32_t len) {
+        if (p >= lo && p < hi) {
+          ASSERT_LE(p + len, hi) << "frame overruns its recv buffer";
+        }
+        sink.frames.emplace_back(p, p + len);
+      });
+      ASSERT_LE(r.pending(), kLenPrefixBytes + static_cast<std::size_t>(kMaxFrame));
+      at += n;
+    }
+    ASSERT_EQ(!ok, want.fatal) << "iteration " << iter;
+    ASSERT_EQ(sink.frames, want.frames) << "iteration " << iter;
+    fatal_streams += want.fatal ? 1 : 0;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(fatal_streams, 100);
+  EXPECT_LT(fatal_streams, 2900);
 }
 
 TEST(SendRing, WrapAroundPreservesBytes) {
