@@ -13,10 +13,15 @@
 // (closed_loop.hpp) drives one of these rather than repeating any of it.
 //
 // Backend bridging: under the real-thread runtime the hosting node's thread
-// drives the engine and waiters block on a condition variable. Under the
-// simulator nothing runs until somebody advances virtual time, so waiters
-// call the configured pump() in a loop (with the engine unlocked) until the
-// completion lands — exactly the bridging the synchronous client had.
+// drives the engine and waiters block on a condition variable. A submit
+// that finds the queue empty calls the wake hook (set_wake_hook), so a
+// node parked until its next timer launches the command at once; the host
+// installs it on net, whose node sleeps in ppoll (rt spins and needs
+// none). next_deadline() tells that node when the retry timer is due.
+// Under the simulator nothing runs until somebody advances virtual time,
+// so waiters call the configured pump() in a loop (with the engine
+// unlocked) until the completion lands — exactly the bridging the
+// synchronous client had.
 //
 // Pipelining: up to kMaxOutstanding commands ride concurrently (submit
 // blocks for ROOM, never for commits); that backlog is what lets a batching
@@ -37,6 +42,7 @@
 // thousands of logical sessions without the allocator in the loop.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <condition_variable>
 #include <cstdint>
@@ -146,9 +152,16 @@ class AsyncClientEngine final : public Engine {
   }
 
   SubmitHandle submit(const Command& proto) {
-    std::unique_lock<std::mutex> lock(mu_);
-    wait_locked(lock, [this] { return in_flight_count() < kMaxOutstanding; });
-    return enqueue_locked(proto, /*run=*/0);
+    bool wake = false;
+    SubmitHandle handle;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wait_locked(lock, [this] { return in_flight_count() < kMaxOutstanding; });
+      wake = queued_count_ == 0;
+      handle = enqueue_locked(proto, /*run=*/0);
+    }
+    if (wake && wake_) wake_();
+    return handle;
   }
 
   // Queue a run of commands that should share kClientCmdBatch frames on
@@ -158,13 +171,18 @@ class AsyncClientEngine final : public Engine {
     CI_CHECK(static_cast<std::int32_t>(protos.size()) <= kMaxOutstanding);
     std::vector<SubmitHandle> handles;
     handles.reserve(protos.size());
-    std::unique_lock<std::mutex> lock(mu_);
-    wait_locked(lock, [this, &protos] {
-      return in_flight_count() + static_cast<std::int32_t>(protos.size()) <=
-             kMaxOutstanding;
-    });
-    const std::uint32_t run = ++next_run_;
-    for (const Command& proto : protos) handles.push_back(enqueue_locked(proto, run));
+    bool wake = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wait_locked(lock, [this, &protos] {
+        return in_flight_count() + static_cast<std::int32_t>(protos.size()) <=
+               kMaxOutstanding;
+      });
+      wake = queued_count_ == 0 && !protos.empty();
+      const std::uint32_t run = ++next_run_;
+      for (const Command& proto : protos) handles.push_back(enqueue_locked(proto, run));
+    }
+    if (wake && wake_) wake_();
     return handles;
   }
 
@@ -276,6 +294,27 @@ class AsyncClientEngine final : public Engine {
       send_locked(ctx, f.cmd, /*suspect=*/true);
     }
   }
+
+  // Queued commands are due now (tick launches them); otherwise the oldest
+  // send's retry.
+  Nanos next_deadline(Nanos now) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queued_count_ > 0) return now;
+    Nanos d = kNoDeadline;
+    for (std::int32_t i = 0, seen = 0; i < kMaxOutstanding && seen < sent_count_; ++i) {
+      const Sent& f = sent_[static_cast<std::size_t>(i)];
+      if (!f.used) continue;
+      ++seen;
+      d = std::min(d, f.last_sent + cfg_.request_timeout);
+    }
+    return d;
+  }
+
+  // Real-thread bridge, set by the host before its node starts: called
+  // after a submit finds the queue empty, so the hosting node, which may be
+  // parked until its next timer, launches the command now. A burst of
+  // submits costs one call.
+  void set_wake_hook(std::function<void()> wake) { wake_ = std::move(wake); }
 
   // Target rotations so far: one per tick that found a command overdue.
   std::uint64_t retries() const {
@@ -458,6 +497,7 @@ class AsyncClientEngine final : public Engine {
 
   AsyncClientConfig cfg_;
   NodeId target_;
+  std::function<void()> wake_;  // see set_wake_hook
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;

@@ -128,4 +128,12 @@ void ClosedLoopClient::tick(Context& ctx) {
   issue(ctx);
 }
 
+// tick() forwards to the engine while a round is open and issues the next
+// round once its think time is over.
+Nanos ClosedLoopClient::next_deadline(Nanos now) const {
+  if (!started_) return kNoDeadline;
+  if (open_ > 0) return engine_.next_deadline(now);
+  return done() ? kNoDeadline : next_issue_at_;
+}
+
 }  // namespace ci::client

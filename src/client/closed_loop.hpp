@@ -45,6 +45,7 @@ class ClosedLoopClient final : public Engine {
   void start(Context& ctx) override;
   void on_message(Context& ctx, const Message& m) override;
   void tick(Context& ctx) override;
+  Nanos next_deadline(Nanos now) const override;
   NodeId believed_leader() const override { return engine_.believed_leader(); }
 
   // Counters are readable from other threads while the client runs (the

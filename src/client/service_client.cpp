@@ -105,6 +105,7 @@ ServiceClient::ServiceClient(const Options& opts)
     auto session = std::make_unique<Session>();
     session->router_ = opts_.router != nullptr ? opts_.router : &default_router;
     session->local_id_ = seat.local;
+    session->node_ = seat.global;
     std::vector<consensus::Engine*> engines;
     for (GroupId g = 0; g < G; ++g) {
       AsyncClientConfig cc;
@@ -146,6 +147,15 @@ ServiceClient::ServiceClient(const Options& opts)
   // Sessions submit on demand (no kStart release: there are no workload
   // clients), so starting the mesh is the whole bring-up.
   mesh_ = std::make_unique<core::ThreadedMesh>(opts_.backend, opts_.spec, node_engines);
+  if (opts_.backend == core::Backend::kNet) {
+    // A net node sleeps in ppoll until its engine's next deadline; a submit
+    // from the application thread wakes the session's node to launch it.
+    for (auto& session : sessions_) {
+      for (auto& client : session->per_group_) {
+        client->set_wake_hook([mesh = mesh_.get(), node = session->node_] { mesh->wake(node); });
+      }
+    }
+  }
   mesh_->start();
 }
 

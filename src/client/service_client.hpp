@@ -82,6 +82,8 @@ class Session {
   std::int32_t num_groups() const { return static_cast<std::int32_t>(per_group_.size()); }
   // The replica this session believes leads `key`'s group (group-local id).
   NodeId believed_leader_for(std::uint64_t key) const;
+  // The transport node this session occupies.
+  NodeId node() const { return node_; }
 
   // The group's raw engine, for callers that address groups directly (the
   // transaction driver, benches).
@@ -108,6 +110,7 @@ class Session {
   std::vector<std::unique_ptr<AsyncClientEngine>> per_group_;
   Router router_ = &default_router;
   NodeId local_id_ = consensus::kNoNode;  // group-local id (stamps txn ids)
+  NodeId node_ = consensus::kNoNode;      // transport node id
   std::uint32_t next_txn_ = 0;
   bool near_cache_ = false;
   std::vector<std::unordered_map<std::uint64_t, CacheEntry>> cache_;  // per group
@@ -187,6 +190,8 @@ class ServiceClient {
   void sim_run_until(Nanos t);
 
   core::ShardedDeployment& deployment() { return dep_; }
+  // The rt or net node threads; null under sim.
+  const core::ThreadedMesh* mesh() const { return mesh_.get(); }
 
  private:
   struct SimState;  // simulator transport + the pump mutex

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <ctime>
+#include <limits>
 
 namespace ci {
 
@@ -13,6 +14,9 @@ using Nanos = std::int64_t;
 inline constexpr Nanos kMicrosecond = 1000;
 inline constexpr Nanos kMillisecond = 1000 * kMicrosecond;
 inline constexpr Nanos kSecond = 1000 * kMillisecond;
+
+// An instant that never comes: a timer that is not armed.
+inline constexpr Nanos kNoDeadline = std::numeric_limits<Nanos>::max();
 
 inline Nanos now_nanos() {
   timespec ts{};

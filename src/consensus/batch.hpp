@@ -144,6 +144,23 @@ class Batcher {
     return enqueued == kNoTime || now - enqueued >= idle_hold();
   }
 
+  // When ready(·, outstanding) turns true with `outstanding` unchanged:
+  // the oldest command's enqueue time (already past) when a batch is due
+  // regardless of the clock, its enqueue time plus idle_hold() for a
+  // partial batch on an idle pipeline, and kNoDeadline when nothing is
+  // queued or a partial batch waits for an in-flight decide (which arrives
+  // as a message, not a timer).
+  Nanos flush_deadline(std::size_t outstanding) const {
+    if (q_.empty()) return kNoDeadline;
+    const Nanos enqueued = q_.front().enqueued;
+    if (!policy_.batching() ||
+        static_cast<std::int32_t>(q_.size()) >= policy_.commands_cap()) {
+      return enqueued;
+    }
+    if (outstanding > 0) return kNoDeadline;
+    return enqueued == kNoTime ? kNoTime : enqueued + idle_hold();
+  }
+
   // How long the oldest command of a partial batch holds on an idle
   // pipeline. kFixed: flush_after, always. kAdaptive: 0 when there is no
   // gap estimate yet or arrivals are too sparse for company to show up

@@ -88,6 +88,20 @@ class Engine {
   // drives timeouts and retries.
   virtual void tick(Context&) {}
 
+  // The earliest instant, in the engine's clock (ctx.now()), at which
+  // tick() has work: a flush, heartbeat, retry or detector expiry. A
+  // runtime may sleep until then, or until a message arrives, whichever is
+  // first; a message can move the deadline, so it asks again after each.
+  // The contract has one rule: return a value <= now only while tick(now)
+  // would consume it — send something or change state — so that right
+  // after tick(t), next_deadline(t) > t. A deadline that tick leaves due
+  // (say, a full batch behind a full pipeline window) makes a waking
+  // runtime spin. A future deadline earlier than the true instant costs
+  // one no-op tick; a later one is a missed timer. kNoDeadline, the
+  // default, means no timer of this engine is armed and the runtime keeps
+  // its own cap.
+  virtual Nanos next_deadline(Nanos /*now*/) const { return kNoDeadline; }
+
   // Test/bench introspection: which node this engine currently believes
   // coordinates the protocol (leader / 2PC coordinator).
   virtual NodeId believed_leader() const { return kNoNode; }

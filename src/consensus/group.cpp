@@ -1,5 +1,7 @@
 #include "consensus/group.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace ci::consensus {
@@ -122,6 +124,12 @@ void GroupDemuxEngine::tick(Context& ctx) {
     GroupContext gctx(ctx, p, this);
     p.engine->tick(gctx);
   }
+}
+
+Nanos GroupDemuxEngine::next_deadline(Nanos now) const {
+  Nanos d = kNoDeadline;
+  for (const Port& p : ports_) d = std::min(d, p.engine->next_deadline(now));
+  return d;
 }
 
 NodeId GroupDemuxEngine::believed_leader() const {

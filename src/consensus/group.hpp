@@ -74,6 +74,8 @@ class GroupDemuxEngine final : public Engine {
   void start(Context& ctx) override;
   void on_message(Context& ctx, const Message& m) override;
   void tick(Context& ctx) override;
+  // The earliest deadline over the hosted engines.
+  Nanos next_deadline(Nanos now) const override;
   // The first hosted engine's view, as a LOCAL id (single-group nodes host
   // exactly one engine, so this matches the pre-sharding behavior).
   NodeId believed_leader() const override;

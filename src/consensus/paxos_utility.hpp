@@ -73,6 +73,11 @@ class PaxosUtility {
 
   void on_message(Context& ctx, const Message& m);
   void tick(Context& ctx);
+  // When tick() restarts the in-flight proposal (Engine::next_deadline's
+  // contract); kNoDeadline with none in flight.
+  Nanos next_deadline() const {
+    return proposal_.has_value() ? proposal_->last_send + cfg_.retry_timeout * 2 : kNoDeadline;
+  }
 
   Instance decided_count() const { return static_cast<Instance>(first_gap_); }
   const UtilityEntry* decided(Instance idx) const;

@@ -61,6 +61,15 @@ class NodeFaults {
     clock_rate_.store(rate, std::memory_order_relaxed);
   }
 
+  // A wall span no longer than the given span of the perceived clock: the
+  // span itself unless the clock runs fast (rate > 1), when it passes
+  // `rate` times quicker.
+  Nanos to_wall(Nanos perceived_span) const {
+    const double rate = clock_rate_.load(std::memory_order_relaxed);
+    if (rate <= 1.0) return perceived_span;
+    return static_cast<Nanos>(static_cast<double>(perceived_span) / rate);
+  }
+
   // The node's perceived clock (what its engines read as ctx.now()).
   Nanos now() const {
     const Nanos t = now_nanos();

@@ -14,7 +14,10 @@
 //   kFramePrefixBytes      link bytes per frame beyond the codec frame;
 //   thread_main()          on the node thread: set up links, run(), tear down;
 //   wait(progress)         block or spin until input is likely (`progress`:
-//                          the last pass read something);
+//                          the last pass read something); a transport that
+//                          blocks bounds the block by deadline_wait();
+//   notify()               any thread: end a wait() in progress, or the
+//                          next one, early (a no-op for a spinning wait);
 //   read(peer)             one read's worth of frames, each through
 //                          deliver(); true if it read anything;
 //   link_up(peer)          false: sends to peer are dropped;
@@ -24,6 +27,7 @@
 // transport code, so it must end before the transport's members do.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -55,7 +59,13 @@ class NodeLoop {
       self_queue_.clear();
     });
   }
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  void request_stop() {
+    stop_.store(true, std::memory_order_relaxed);
+    wake();
+  }
+  // Thread-safe: the node has work it cannot see on its links (a command
+  // queued from another thread); its current or next wait returns early.
+  void wake() { transport().notify(); }
   void join() {
     if (thread_.joinable()) thread_.join();
   }
@@ -88,6 +98,19 @@ class NodeLoop {
   std::int32_t total_nodes() const { return total_nodes_; }
   bool backlogged(consensus::NodeId peer) const {
     return !backlogs_[static_cast<std::size_t>(peer)].empty();
+  }
+
+  // Wall nanoseconds until the engine's next deadline, clamped to
+  // [0, cap]: how long wait() may block before the tick is due. The
+  // deadline is in the node's perceived clock; a stretched clock's span is
+  // converted to wall time rounding toward an early wake, which costs a
+  // no-op tick and never a missed timer.
+  Nanos deadline_wait(Nanos cap) const {
+    const Nanos now = faults_.now();
+    const Nanos d = engine_->next_deadline(now);
+    if (d <= now) return 0;
+    if (d == kNoDeadline) return cap;
+    return std::min(cap, faults_.to_wall(d - now));
   }
 
   // Starts the engine and runs passes until request_stop(). Called by the

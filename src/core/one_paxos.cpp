@@ -930,6 +930,90 @@ void OnePaxosEngine::on_utility_decided(Context& ctx, Instance idx, const Utilit
 
 // ----------------------------------------------------------------- timers
 
+// Whether on_acceptor_failure would act (relinquish, or start an
+// AcceptorChange) rather than return at one of its guards.
+bool OnePaxosEngine::acceptor_failure_acts() const {
+  if (switching_ != Switch::kNone || utility_.propose_in_flight()) return false;
+  return utility_.last_leader() != cfg_.base.self || select_acceptor(active_acceptor_) != kNoNode;
+}
+
+// The first instant >= t at which try_takeover, called from tick() with its
+// role guards already passed, would probe: never while we host the
+// acceptor ourselves, and not before a lease we granted lapses.
+Nanos OnePaxosEngine::takeover_from(Nanos t) const {
+  if (utility_.last_active_acceptor().acceptor == cfg_.base.self) return kNoDeadline;
+  return granted_.live(t) ? granted_.until : t;
+}
+
+// tick() read branch for branch: each armed timer contributes the instant
+// its condition turns true, and work tick would do right now contributes
+// `now`. Guards that make tick a no-op (a full pipeline window, a
+// reconfiguration in flight, a live lease grant) contribute nothing, so a
+// waking runtime never spins on them.
+Nanos OnePaxosEngine::next_deadline(Nanos now) const {
+  const Nanos retry = cfg_.base.retry_timeout;
+  const Nanos fd = cfg_.base.fd_timeout;
+  Nanos d = utility_.next_deadline();
+  if (switching_ == Switch::kAcceptorChange || (prepare_outstanding_ && prepare_can_rotate_)) {
+    d = std::min(d, last_body_publish_ + retry);
+  }
+  const bool establishing = prepare_outstanding_ && utility_.last_leader() == cfg_.base.self;
+  if (i_am_leader_ || establishing) {
+    d = std::min(d, last_heartbeat_sent_ + cfg_.base.heartbeat_period);
+  }
+
+  if (i_am_leader_) {
+    if (static_cast<std::int32_t>(proposed_.size()) < effective_window()) {
+      d = std::min(d, pending_.flush_deadline(proposed_.size()));
+    }
+    Nanos suspect_at = kNoDeadline;
+    for (const auto& [in, t] : accept_times_) {
+      if (proposed_.count(in) == 0) continue;
+      suspect_at = std::min(suspect_at, t.first_sent + fd);
+      d = std::min(d, t.last_sent + retry);
+    }
+    if (accept_times_.empty()) {
+      d = std::min(d, last_ping_sent_ + cfg_.base.heartbeat_period);
+      suspect_at = std::min(suspect_at, last_acceptor_contact_ + fd);
+    }
+    if (suspect_at != kNoDeadline && acceptor_failure_acts()) d = std::min(d, suspect_at);
+    if (log_.first_gap() < alloc_frontier_) {
+      const Instance gap = log_.first_gap();
+      if (gap != stuck_gap_) return std::min(d, now);  // tick notes when the stall began
+      d = std::min(d, last_catchup_sent_ + retry);
+      if (proposed_.count(gap) == 0) d = std::min(d, stuck_gap_since_ + fd * 4);
+    } else if (stuck_gap_ != kNoInstance) {
+      return std::min(d, now);  // tick clears the stall mark
+    }
+    return d;
+  }
+
+  if (prepare_outstanding_) {
+    if (prepare_can_rotate_) {
+      return std::min({d, prepare_first_sent_ + fd, prepare_last_sent_ + retry});
+    }
+    const Nanos recovery_at = prepare_first_sent_ + fd * 3;
+    if (now < recovery_at) return std::min({d, recovery_at, prepare_last_sent_ + retry});
+    if (utility_.last_leader() != cfg_.base.self || !recovery_poll_) return std::min(d, now);
+    return std::min(d, recovery_poll_started_ + fd);
+  }
+
+  // An unanswered takeover probe holds the takeover path until it expires.
+  if (probe_acceptor_ != kNoNode) return std::min(d, std::max(now, probe_sent_ + fd));
+  if (switching_ != Switch::kNone || utility_.propose_in_flight()) return d;
+  if (current_leader_ == cfg_.base.self) {
+    // Named leader but not (yet) leading: suspect_leader holds.
+    return pending_.empty() ? d : std::min(d, takeover_from(now));
+  }
+  const Nanos suspect_at = last_leader_contact_ + fd + fd_jitter_;
+  if (now >= suspect_at) return std::min(d, takeover_from(now));
+  if (!pending_.empty() && current_leader_ != kNoNode &&
+      now - last_leader_contact_ <= fd / 2) {
+    return std::min(d, now);  // tick forwards the held commands
+  }
+  return std::min(d, takeover_from(suspect_at));
+}
+
 void OnePaxosEngine::tick(Context& ctx) {
   utility_.tick(ctx);
   const Nanos now = ctx.now();

@@ -62,6 +62,7 @@ class OnePaxosEngine final : public Engine {
   void start(Context& ctx) override;
   void on_message(Context& ctx, const Message& m) override;
   void tick(Context& ctx) override;
+  Nanos next_deadline(Nanos now) const override;
   NodeId believed_leader() const override { return current_leader_; }
 
   bool is_leader() const { return i_am_leader_; }
@@ -135,6 +136,8 @@ class OnePaxosEngine final : public Engine {
   void handle_window_fetch(Context& ctx, const Message& m);
   ProposalNum new_pn();
   bool suspect_leader(Nanos now) const;
+  bool acceptor_failure_acts() const;
+  Nanos takeover_from(Nanos t) const;
   void forward_pending(Context& ctx);
 
   OnePaxosConfig cfg_;

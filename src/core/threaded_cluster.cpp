@@ -71,6 +71,16 @@ void ThreadedMesh::kill(NodeId n) {
   net_nodes_[static_cast<std::size_t>(n)]->kill();
 }
 
+void ThreadedMesh::wake(NodeId n) {
+  at(n, [](auto& node) { node.wake(); });
+}
+
+net::WakeCounts ThreadedMesh::wake_counts(NodeId n) const {
+  CI_CHECK_MSG(static_cast<std::size_t>(n) < net_nodes_.size(),
+               "wake counts exist only on the net backend");
+  return net_nodes_[static_cast<std::size_t>(n)]->wake_counts();
+}
+
 std::uint64_t ThreadedMesh::messages_sent() const {
   std::uint64_t sum = 0;
   each([&sum](const auto& node) { sum += node.messages_sent(); });

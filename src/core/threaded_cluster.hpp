@@ -69,6 +69,11 @@ class ThreadedMesh {
   // Fail-stop: net only (every socket drops; peers see EOF). rt has no
   // fail-stop, so a kill there is a CI_CHECK failure.
   void kill(consensus::NodeId n);
+  // Thread-safe: node n has work queued from another thread (a no-op on
+  // rt, whose nodes spin).
+  void wake(consensus::NodeId n);
+  // What ended node n's waits so far (net only).
+  net::WakeCounts wake_counts(consensus::NodeId n) const;
 
   // Boundary-crossing messages / encoded bytes sent so far, over all nodes.
   std::uint64_t messages_sent() const;

@@ -15,6 +15,8 @@ namespace ci::net {
 struct Endpoint {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = let the kernel pick (listen side only)
+
+  bool operator==(const Endpoint&) const = default;
 };
 
 inline std::string to_string(const Endpoint& e) {

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <mutex>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 
 #include "common/check.hpp"
 
@@ -16,6 +18,9 @@ namespace {
 // recv scratch per node: big enough that a busy link drains in few
 // syscalls, small enough that a node's footprint stays modest.
 constexpr std::size_t kRecvBufBytes = 64 * 1024;
+
+// The longest wait: an engine with no deadline still ticks this often.
+constexpr Nanos kMaxWait = 1 * kMillisecond;
 
 }  // namespace
 
@@ -28,7 +33,10 @@ NetNode::NetNode(NodeId self, Engine* engine, const MeshConfig& cfg, IoPool* poo
                       : kLenPrefixBytes + wire::kMaxFrameBytes),
       links_(static_cast<std::size_t>(cfg.total_nodes)),
       rbuf_(kRecvBufBytes),
-      readable_(static_cast<std::size_t>(cfg.total_nodes), false) {}
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+      readable_(static_cast<std::size_t>(cfg.total_nodes), false) {
+  CI_CHECK_MSG(wake_fd_.valid(), "cannot create the node's eventfd");
+}
 
 NetNode::~NetNode() {
   request_stop();
@@ -126,6 +134,7 @@ void NetNode::wait(bool) {
   if (pool_ == nullptr) flush_rings();
   pfds_.clear();
   pfd_peer_.clear();
+  pfds_.push_back(pollfd{wake_fd_.fd(), POLLIN, 0});
   for (NodeId peer = 0; peer < cfg_.total_nodes; ++peer) {
     readable_[static_cast<std::size_t>(peer)] = false;
     Link* l = links_[static_cast<std::size_t>(peer)].get();
@@ -137,18 +146,33 @@ void NetNode::wait(bool) {
     pfds_.push_back(pollfd{l->sock.fd(), events, 0});
     pfd_peer_.push_back(peer);
   }
-  if (pfds_.empty()) {
-    // Every link is dead (we are partitioned or everyone else stopped);
-    // keep ticking so a co-hosted client can time out gracefully.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // With every link dead (partitioned, or everyone else stopped) the wait
+  // still ends at the deadline, so a co-hosted client can time out.
+  const timespec timeout{0, static_cast<long>(deadline_wait(kMaxWait))};
+  if (::ppoll(pfds_.data(), static_cast<nfds_t>(pfds_.size()), &timeout, nullptr) <= 0) {
+    wakes_timeout_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ::poll(pfds_.data(), static_cast<nfds_t>(pfds_.size()), 1);
-  for (std::size_t i = 0; i < pfds_.size(); ++i) {
+  bool by_socket = false;
+  for (std::size_t i = 1; i < pfds_.size(); ++i) {
+    if (pfds_[i].revents != 0) by_socket = true;
     if (pfds_[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-      readable_[static_cast<std::size_t>(pfd_peer_[i])] = true;
+      readable_[static_cast<std::size_t>(pfd_peer_[i - 1])] = true;
     }
   }
+  if (pfds_[0].revents & POLLIN) {
+    std::uint64_t signals = 0;
+    (void)!::read(wake_fd_.fd(), &signals, sizeof(signals));  // rearm
+    wakes_eventfd_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    (by_socket ? wakes_socket_ : wakes_timeout_).fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void NetNode::notify() {
+  const std::uint64_t one = 1;
+  // Signals add up in the counter; one read in wait() takes them all.
+  (void)!::write(wake_fd_.fd(), &one, sizeof(one));
 }
 
 bool NetNode::read(NodeId peer) {

@@ -12,9 +12,13 @@
 //      MeshHello so the acceptor knows who dialed — listeners exist before
 //      anyone registers, so dialing needs only bounded retry;
 //   4. switch all links nonblocking and run the node loop. Each pass waits
-//      in poll() (1 ms at most; POLLOUT only while bytes are pending, and
-//      only when the node flushes its own rings), then makes one recv per
-//      readable link and delivers every frame it completes;
+//      in ppoll() on every link plus an eventfd (POLLOUT only while bytes
+//      are pending, and only when the node flushes its own rings), until
+//      the engine's next deadline (Engine::next_deadline) and at most
+//      1 ms; then it makes one recv per readable link and delivers every
+//      frame it completes. wake() writes the eventfd: a command submitted
+//      from another thread ends the wait at once instead of at the next
+//      timer or frame;
 //   5. on stop or kill(), close every socket: peers see EOF.
 //
 // Send path: wire::FrameWriter encodes straight into the link's SendRing
@@ -70,6 +74,15 @@ inline std::size_t ring_bytes_for(const consensus::BatchPolicy& policy) {
 
 class IoPool;
 
+// What ended each of a node's waits, counted once per pass: the eventfd
+// (wake()), a link (readable, writable or closed), or the deadline or the
+// 1 ms cap expiring with neither.
+struct WakeCounts {
+  std::uint64_t eventfd = 0;
+  std::uint64_t socket = 0;
+  std::uint64_t timeout = 0;
+};
+
 class NetNode : public core::NodeLoop<NetNode> {
  public:
   // Peers occupy ids [0, cfg.total_nodes). `pool` may be null (the node
@@ -91,6 +104,13 @@ class NetNode : public core::NodeLoop<NetNode> {
   // pass, or by the IoPool worker owning this node.
   void flush_rings();
 
+  // Readable from any thread while the node runs (relaxed counters).
+  WakeCounts wake_counts() const {
+    return WakeCounts{wakes_eventfd_.load(std::memory_order_relaxed),
+                      wakes_socket_.load(std::memory_order_relaxed),
+                      wakes_timeout_.load(std::memory_order_relaxed)};
+  }
+
  private:
   friend class core::NodeLoop<NetNode>;
 
@@ -111,6 +131,7 @@ class NetNode : public core::NodeLoop<NetNode> {
   void thread_main();
   bool bootstrap();
   void wait(bool progress);
+  void notify();
   bool read(NodeId peer);
   bool link_up(NodeId peer) const;
   bool write(NodeId peer, const Message& m, std::uint32_t frame_len);
@@ -122,10 +143,14 @@ class NetNode : public core::NodeLoop<NetNode> {
 
   std::vector<std::unique_ptr<Link>> links_;  // index = peer id; self = null
   std::vector<unsigned char> rbuf_;           // recv scratch, node thread only
-  std::vector<pollfd> pfds_;                  // this pass's poll set
-  std::vector<NodeId> pfd_peer_;              // peer behind each pfds_ entry
+  Socket wake_fd_;                            // eventfd behind wake()
+  std::vector<pollfd> pfds_;                  // this pass's poll set; [0] = wake_fd_
+  std::vector<NodeId> pfd_peer_;              // peer behind pfds_[i + 1]
   std::vector<bool> readable_;                // per peer, from this pass's poll
   std::atomic<bool> ready_{false};
+  std::atomic<std::uint64_t> wakes_eventfd_{0};
+  std::atomic<std::uint64_t> wakes_socket_{0};
+  std::atomic<std::uint64_t> wakes_timeout_{0};
 };
 
 // Dedicated socket-flusher threads (`--net-io-threads`): each worker drains

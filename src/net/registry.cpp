@@ -49,11 +49,53 @@ bool Registry::send_map(int fd, const std::vector<MapEntry>& entries) {
                     nullptr);
 }
 
+bool parse_hello(const unsigned char* bytes, std::size_t len, RegistryHello* out) {
+  if (len != sizeof(RegistryHello)) return false;
+  std::memcpy(out, bytes, sizeof(RegistryHello));
+  return out->magic == kRegistryHelloMagic && out->node >= 0;
+}
+
+bool parse_map_header(const unsigned char* bytes, std::size_t len, std::uint32_t* count) {
+  if (len != sizeof(MapHeader)) return false;
+  MapHeader hdr;
+  std::memcpy(&hdr, bytes, sizeof(hdr));
+  if (hdr.magic != kRegistryMapMagic || hdr.count == 0 || hdr.count > kMaxMapEntries) {
+    return false;
+  }
+  *count = hdr.count;
+  return true;
+}
+
+bool parse_map_entries(const unsigned char* bytes, std::size_t len, std::uint32_t count,
+                       std::vector<Endpoint>* out) {
+  if (count == 0 || count > kMaxMapEntries || len != count * sizeof(MapEntry)) return false;
+  // The map comes from outside the process: an entry naming a node id
+  // outside it, or twice (leaving another id without an endpoint), is a
+  // broken or hostile registry.
+  std::vector<bool> seen(count, false);
+  std::vector<Endpoint> map(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    MapEntry e;
+    std::memcpy(&e, bytes + i * sizeof(MapEntry), sizeof(e));
+    if (e.node < 0 || static_cast<std::uint32_t>(e.node) >= count) return false;
+    const auto node = static_cast<std::size_t>(e.node);
+    if (seen[node]) return false;
+    seen[node] = true;
+    char name[INET_ADDRSTRLEN] = {0};
+    in_addr addr{};
+    addr.s_addr = e.addr_be;
+    inet_ntop(AF_INET, &addr, name, sizeof(name));
+    map[node] = Endpoint{name, e.port};
+  }
+  *out = std::move(map);
+  return true;
+}
+
 bool Registry::handle_connection(Socket conn) {
-  RegistryHello hello{};
-  if (!read_full(conn.fd(), &hello, sizeof(hello), now_nanos() + kHandshakeBudget,
-                 &stop_) ||
-      hello.magic != kRegistryHelloMagic || hello.node < 0) {
+  unsigned char bytes[sizeof(RegistryHello)];
+  RegistryHello hello;
+  if (!read_full(conn.fd(), bytes, sizeof(bytes), now_nanos() + kHandshakeBudget, &stop_) ||
+      !parse_hello(bytes, sizeof(bytes), &hello)) {
     return true;  // bad client; drop it, keep serving
   }
   sockaddr_in peer{};
@@ -117,31 +159,19 @@ bool fetch_map(const Endpoint& registry, consensus::NodeId self,
     const Nanos attempt =
         std::min(deadline, now_nanos() + 500 * kMillisecond);
     if (!write_full(conn.fd(), &hello, sizeof(hello), attempt, cancel)) continue;
-    MapHeader hdr{};
-    if (!read_full(conn.fd(), &hdr, sizeof(hdr), deadline, cancel)) continue;
-    if (hdr.magic != kRegistryMapMagic || hdr.count == 0 || hdr.count > 1u << 16) {
+    unsigned char header[sizeof(MapHeader)];
+    std::uint32_t count = 0;
+    if (!read_full(conn.fd(), header, sizeof(header), deadline, cancel) ||
+        !parse_map_header(header, sizeof(header), &count)) {
       continue;
     }
-    std::vector<MapEntry> entries(hdr.count);
-    if (!read_full(conn.fd(), entries.data(), entries.size() * sizeof(MapEntry),
-                   now_nanos() + 2 * kSecond, cancel)) {
+    std::vector<unsigned char> entries(count * sizeof(MapEntry));
+    if (!read_full(conn.fd(), entries.data(), entries.size(), now_nanos() + 2 * kSecond,
+                   cancel)) {
       continue;
     }
-    // The map comes from outside the process: an entry naming a node id
-    // outside it is a broken (or hostile) registry, so retry the fetch.
-    const bool in_range = std::all_of(entries.begin(), entries.end(), [&](const MapEntry& e) {
-      return e.node >= 0 && static_cast<std::uint32_t>(e.node) < hdr.count;
-    });
-    if (!in_range) continue;
-    out->assign(hdr.count, Endpoint{});
-    for (const MapEntry& e : entries) {
-      char name[INET_ADDRSTRLEN] = {0};
-      in_addr addr{};
-      addr.s_addr = e.addr_be;
-      inet_ntop(AF_INET, &addr, name, sizeof(name));
-      (*out)[static_cast<std::size_t>(e.node)] = Endpoint{name, e.port};
-    }
-    return true;
+    // A map that does not parse is a broken (or hostile) registry: retry.
+    if (parse_map_entries(entries.data(), entries.size(), count, out)) return true;
   }
   return false;
 }

@@ -99,6 +99,20 @@ class Registry {
   bool published_ = false;
 };
 
+// The handshake's parsers, apart from the socket reads so that each sees
+// only bytes (the registry fuzz feeds them mutated ones). Each takes
+// exactly the bytes of its message and returns false for bytes that are
+// not one:
+//   parse_hello        a RegistryHello: its magic, a node id >= 0;
+//   parse_map_header   a MapHeader: its magic, 1 <= count <= kMaxMapEntries;
+//   parse_map_entries  `count` MapEntry records naming every node id in
+//                      [0, count) once, into one Endpoint per node id.
+inline constexpr std::uint32_t kMaxMapEntries = 1u << 16;
+bool parse_hello(const unsigned char* bytes, std::size_t len, RegistryHello* out);
+bool parse_map_header(const unsigned char* bytes, std::size_t len, std::uint32_t* count);
+bool parse_map_entries(const unsigned char* bytes, std::size_t len, std::uint32_t count,
+                       std::vector<Endpoint>* out);
+
 // Client half: registers (self, listen_port) with the registry and blocks
 // until the full map arrives, retrying the whole connect+hello exchange on
 // any failure until `deadline`/`cancel` (covers a registry that starts

@@ -45,6 +45,8 @@ class RtNode : public core::NodeLoop<RtNode> {
 
   void thread_main();
   void wait(bool progress);
+  // The spinning wait notices new work on its next pass.
+  void notify() {}
   bool read(NodeId peer);
   bool link_up(NodeId) const { return true; }
   bool write(NodeId peer, const Message& m, std::uint32_t frame_len);
