@@ -976,7 +976,7 @@ Nanos OnePaxosEngine::next_deadline(Nanos now) const {
       d = std::min(d, last_ping_sent_ + cfg_.base.heartbeat_period);
       suspect_at = std::min(suspect_at, last_acceptor_contact_ + fd);
     }
-    if (suspect_at != kNoDeadline && acceptor_failure_acts()) d = std::min(d, suspect_at);
+    if (suspect_at < d && acceptor_failure_acts()) d = suspect_at;
     if (log_.first_gap() < alloc_frontier_) {
       const Instance gap = log_.first_gap();
       if (gap != stuck_gap_) return std::min(d, now);  // tick notes when the stall began
