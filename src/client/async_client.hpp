@@ -152,14 +152,11 @@ class AsyncClientEngine final : public Engine {
   }
 
   SubmitHandle submit(const Command& proto) {
-    bool wake = false;
-    SubmitHandle handle;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wait_locked(lock, [this] { return in_flight_count() < kMaxOutstanding; });
-      wake = queued_count_ == 0;
-      handle = enqueue_locked(proto, /*run=*/0);
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    wait_locked(lock, [this] { return in_flight_count() < kMaxOutstanding; });
+    const bool wake = queued_count_ == 0;
+    SubmitHandle handle = enqueue_locked(proto, /*run=*/0);
+    lock.unlock();
     if (wake && wake_) wake_();
     return handle;
   }
@@ -171,17 +168,15 @@ class AsyncClientEngine final : public Engine {
     CI_CHECK(static_cast<std::int32_t>(protos.size()) <= kMaxOutstanding);
     std::vector<SubmitHandle> handles;
     handles.reserve(protos.size());
-    bool wake = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wait_locked(lock, [this, &protos] {
-        return in_flight_count() + static_cast<std::int32_t>(protos.size()) <=
-               kMaxOutstanding;
-      });
-      wake = queued_count_ == 0 && !protos.empty();
-      const std::uint32_t run = ++next_run_;
-      for (const Command& proto : protos) handles.push_back(enqueue_locked(proto, run));
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    wait_locked(lock, [this, &protos] {
+      return in_flight_count() + static_cast<std::int32_t>(protos.size()) <=
+             kMaxOutstanding;
+    });
+    const bool wake = queued_count_ == 0 && !protos.empty();
+    const std::uint32_t run = ++next_run_;
+    for (const Command& proto : protos) handles.push_back(enqueue_locked(proto, run));
+    lock.unlock();
     if (wake && wake_) wake_();
     return handles;
   }
@@ -497,7 +492,6 @@ class AsyncClientEngine final : public Engine {
 
   AsyncClientConfig cfg_;
   NodeId target_;
-  std::function<void()> wake_;  // see set_wake_hook
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
@@ -514,6 +508,7 @@ class AsyncClientEngine final : public Engine {
   std::vector<std::shared_ptr<SubmitHandle::Completion>> spare_;
   std::uint32_t latest_epoch_ = 0;  // newest nonzero reply epoch
   std::uint64_t retries_ = 0;
+  std::function<void()> wake_;  // see set_wake_hook; set before the node starts
 };
 
 inline bool SubmitHandle::done() const {
