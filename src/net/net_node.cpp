@@ -162,7 +162,7 @@ void NetNode::wait(bool) {
   }
   if (pfds_[0].revents & POLLIN) {
     std::uint64_t signals = 0;
-    (void)!::read(wake_fd_.fd(), &signals, sizeof(signals));  // rearm
+    (void)!::read(wake_fd_.fd(), &signals, sizeof(signals));  // drain every signal so far
     wakes_eventfd_.fetch_add(1, std::memory_order_relaxed);
   } else {
     (by_socket ? wakes_socket_ : wakes_timeout_).fetch_add(1, std::memory_order_relaxed);

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -163,7 +162,8 @@ class GridDriver {
   // before `earliest` (the grid point after one whose ticks already ran).
   void rearm(Node& n, Nanos earliest = 0) {
     const Nanos d = n.engine->next_deadline(now_);
-    const Nanos rounded = d == kNoDeadline ? kNoDeadline : (std::max<Nanos>(d, 0) + kGrid - 1) / kGrid * kGrid;
+    const Nanos rounded =
+        d == kNoDeadline ? kNoDeadline : (std::max<Nanos>(d, 0) + kGrid - 1) / kGrid * kGrid;
     n.next_tick = std::max(rounded, earliest);
   }
 

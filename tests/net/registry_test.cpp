@@ -253,8 +253,13 @@ TEST(RegistryParse, MutatedHandshakesParseToTheirMeaningOrFail) {
     }
     const int mutation = static_cast<int>(rng.next_below(5));  // 0: none
     if (mutation == 1) {
-      const std::uint32_t edges[] = {0, 1, count - 1, count + 1, kMaxMapEntries,
-                                     kMaxMapEntries + 1, static_cast<std::uint32_t>(rng.next_u64())};
+      const std::uint32_t edges[] = {0,
+                                     1,
+                                     count - 1,
+                                     count + 1,
+                                     kMaxMapEntries,
+                                     kMaxMapEntries + 1,
+                                     static_cast<std::uint32_t>(rng.next_u64())};
       hdr.count = edges[rng.next_below(7)];
       std::memcpy(bytes.data(), &hdr, sizeof(hdr));
     } else if (mutation == 2) {
