@@ -15,15 +15,15 @@
 // CROSS-SHARD transactions (session.txn().put(..).put(..).commit()),
 // committed atomically by 2PC across the keys' groups (client/txn.hpp).
 //
-// With --client-coalesce=N the sessions pack up to N adjacent pipelined
-// puts bound for the same group into one kClientCmdBatch frame (sender-side
-// coalescing, orthogonal to the leader's --batch).
+// The sessions ship whatever puts they have queued for a group in shared
+// kClientCmdBatch frames (sender-side coalescing, orthogonal to the
+// leader's --batch).
 //
 //   $ ./examples/replicated_kv [1paxos|multipaxos|basicpaxos|2pc] [num_ops]
 //       [--backend=sim|rt|net] [--groups=N]
 //       [--placement=group-major|interleaved|colocated] [--batch=N]
 //       [--batch-flush-us=T] [--flush-policy=fixed|adaptive]
-//       [--client-coalesce=N] [--txn-mix=P]
+//       [--txn-mix=P]
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
                        {harness::Flag::kBackend, harness::Flag::kGroups,
                         harness::Flag::kPlacement, harness::Flag::kBatch,
                         harness::Flag::kBatchFlushUs, harness::Flag::kFlushPolicy,
-                        harness::Flag::kClientCoalesce, harness::Flag::kTxnMix,
-                        harness::Flag::kPositionals},
+                        harness::Flag::kTxnMix, harness::Flag::kPositionals},
                        &flags);
   const double txn_mix = flags.txn_mix;
 
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
   opts.groups = flags.groups;
   opts.placement = flags.placement;
   opts.spec.engine.batch = flags.batch;
-  opts.spec.workload.client_coalesce = flags.client_coalesce;
   // Only the Paxos-family leaders batch; silently reporting a batch size a
   // 2PC/Basic-Paxos run ignores would mislabel any numbers cut from this
   // output (the same silent-nonsense class --batch=0 is rejected for).

@@ -25,12 +25,15 @@
 //
 // Pipelining: up to kMaxOutstanding commands ride concurrently (submit
 // blocks for ROOM, never for commits); that backlog is what lets a batching
-// leader (EngineConfig::batch) fill multi-command instances. submit_run()
-// additionally marks a run of commands to travel to the replica in shared
-// kClientCmdBatch frames (one frame per kMaxClientBatchCommands chunk) —
-// the cross-shard transaction driver uses it for its per-group fan-out.
-// Retries always degrade to per-command kClientRequest frames, so a lost
-// batch frame costs nothing but the amortization.
+// leader (EngineConfig::batch) fill multi-command instances. Whatever is
+// queued when the hosting node launches travels in shared kClientCmdBatch
+// frames (one per kMaxClientBatchCommands chunk); nothing waits for
+// company, and a lone command goes as a kClientRequest. submit_run() marks
+// a run that keeps its frames to itself, never sharing one with plain
+// submits or another run — the cross-shard transaction driver uses it for
+// its per-group fan-out, the closed loop for its rounds. Retries always
+// degrade to per-command kClientRequest frames, so a lost batch frame
+// costs nothing but the amortization.
 //
 // Allocation discipline: the pipeline is bounded, so ALL per-command state
 // lives in fixed arrays — a ring for the not-yet-sent backlog, a slot array
@@ -67,13 +70,6 @@ struct AsyncClientConfig {
   consensus::EngineConfig base;
   NodeId initial_target = 0;
   Nanos request_timeout = 10 * kMillisecond;
-
-  // Coalescing window: N > 1 lets each tick gather up to N consecutive
-  // plain queued commands (those not already part of a submit_run() run)
-  // into one kClientCmdBatch frame. N = 1 sends every command as its own
-  // kClientRequest. Bounded by kMaxClientBatchCommands; retries always
-  // degrade to kClientRequest frames.
-  std::int32_t coalesce = 1;
 
   // Simulator bridge: when set, blocking waits advance virtual time by
   // calling this (expected to run the simulation for a slice) instead of
@@ -161,9 +157,9 @@ class AsyncClientEngine final : public Engine {
     return handle;
   }
 
-  // Queue a run of commands that should share kClientCmdBatch frames on
-  // their first send (chunked to kMaxClientBatchCommands per frame). The
-  // run must fit the pipeline whole.
+  // Queue a run of commands that share kClientCmdBatch frames only with
+  // each other on their first send (chunked to kMaxClientBatchCommands per
+  // frame). The run must fit the pipeline whole.
   std::vector<SubmitHandle> submit_run(const std::vector<Command>& protos) {
     CI_CHECK(static_cast<std::int32_t>(protos.size()) <= kMaxOutstanding);
     std::vector<SubmitHandle> handles;
@@ -419,54 +415,30 @@ class AsyncClientEngine final : public Engine {
     return handle;
   }
 
-  // Members of one run travel together in kClientCmdBatch frames; plain
-  // commands go as a kClientRequest each, or in coalesced chunks when
-  // cfg_.coalesce > 1.
+  // Ships the whole queue now, in FIFO order: consecutive commands with
+  // the same run id (run 0 = plain submits) share kClientCmdBatch frames,
+  // up to kMaxClientBatchCommands each. Nothing waits for company: a chunk
+  // of one goes as a kClientRequest, so the wire never pays the batch
+  // header for a single command.
   void launch_locked(Context& ctx, Nanos now) {
     while (queued_count_ > 0) {
-      if (queued_front().run != 0) {
-        launch_chunk_locked(ctx, now, /*run=*/queued_front().run,
-                            consensus::kMaxClientBatchCommands);
-        continue;
-      }
-      if (cfg_.coalesce > 1) {
-        launch_chunk_locked(
-            ctx, now, /*run=*/0,
-            std::min(cfg_.coalesce, consensus::kMaxClientBatchCommands));
-        continue;
-      }
-      Pending p = pop_queued();
-      send_locked(ctx, p.cmd, /*suspect=*/false);
-      store_sent_locked(p.cmd, std::move(p.completion), now);
-    }
-  }
-
-  // The front of the queue starts a chunk: peel up to `window` consecutive
-  // commands with the same run id (run 0 = plain commands under coalescing)
-  // and ship them in one kClientCmdBatch frame. A chunk of one goes as a
-  // kClientRequest — the wire never pays the batch header for a single
-  // command.
-  void launch_chunk_locked(Context& ctx, Nanos now, std::uint32_t run,
-                           std::int32_t window) {
-    std::array<Pending, consensus::kMaxClientBatchCommands> chunk;
-    std::int32_t count = 0;
-    while (queued_count_ > 0 && queued_front().run == run && count < window) {
-      chunk[static_cast<std::size_t>(count++)] = pop_queued();
-    }
-    if (count == 1) {
-      send_locked(ctx, chunk[0].cmd, /*suspect=*/false);
-    } else {
-      Message m(MsgType::kClientCmdBatch, consensus::ProtoId::kClient, cfg_.base.self,
-                target_);
+      const std::uint32_t run = queued_front().run;
       Command cmds[consensus::kMaxClientBatchCommands];
-      for (std::int32_t i = 0; i < count; ++i) cmds[i] = chunk[static_cast<std::size_t>(i)].cmd;
+      std::int32_t count = 0;
+      while (queued_count_ > 0 && queued_front().run == run &&
+             count < consensus::kMaxClientBatchCommands) {
+        Pending p = pop_queued();
+        cmds[count++] = p.cmd;
+        store_sent_locked(p.cmd, std::move(p.completion), now);
+      }
+      if (count == 1) {
+        send_locked(ctx, cmds[0], /*suspect=*/false);
+        continue;
+      }
+      Message m(MsgType::kClientCmdBatch, consensus::ProtoId::kClient, cfg_.base.self, target_);
       m.u.client_cmd_batch.count = count;
       m.u.client_cmd_batch.run.assign(cmds, count);
       ctx.send(target_, m);
-    }
-    for (std::int32_t i = 0; i < count; ++i) {
-      Pending& p = chunk[static_cast<std::size_t>(i)];
-      store_sent_locked(p.cmd, std::move(p.completion), now);
     }
   }
 

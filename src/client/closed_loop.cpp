@@ -52,7 +52,7 @@ void ClosedLoopClient::issue(Context& ctx) {
     if (done()) return;
     const Nanos now = ctx.now();
     if (now < next_issue_at_) return;  // think time pending
-    std::int32_t want = std::min(cfg_.engine.coalesce, consensus::kMaxClientBatchCommands);
+    std::int32_t want = std::min(cfg_.round_size, consensus::kMaxClientBatchCommands);
     if (cfg_.total_requests != 0) {
       want = static_cast<std::int32_t>(
           std::min<std::uint64_t>(static_cast<std::uint64_t>(want),

@@ -5,12 +5,12 @@
 // next replica with the leader-suspect flag, and the kClientRequest-vs-
 // kClientCmdBatch frame choice.
 //
-// A round is AsyncClientConfig::coalesce commands (1 = the classic
-// one-request loop; N > 1 ships the round in one
-// kClientCmdBatch frame and completes it when every reply lands, each
-// command recording its own latency). With no think time the next round
-// goes out inside the event that delivered the last reply, not on the next
-// timer tick.
+// A round is ClosedLoopConfig::round_size commands (1 = the classic
+// one-request loop; N > 1 submits the round as one run, which the engine
+// ships in one kClientCmdBatch frame, and completes it when every reply
+// lands, each command recording its own latency). With no think time the
+// next round goes out inside the event that delivered the last reply, not
+// on the next timer tick.
 #pragma once
 
 #include <atomic>
@@ -26,7 +26,8 @@
 namespace ci::client {
 
 struct ClosedLoopConfig {
-  AsyncClientConfig engine;          // wire side; its coalesce sets the round size
+  AsyncClientConfig engine;          // wire side
+  std::int32_t round_size = 1;       // commands per round (capped at kMaxClientBatchCommands)
   Nanos think_time = 0;              // §7.4 uses 2 ms between requests
   double read_fraction = 0.0;        // §7.5 read workloads
   std::uint64_t total_requests = 0;  // 0 = run until kStop

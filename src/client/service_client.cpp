@@ -115,7 +115,6 @@ ServiceClient::ServiceClient(const Options& opts)
       cc.base.seed = opts_.spec.seed;
       cc.base.state_machine = nullptr;
       cc.request_timeout = opts_.spec.workload.request_timeout;
-      cc.coalesce = opts_.spec.workload.client_coalesce;
       if (is_sim) cc.pump = [state = sim_.get()] { state->pump(); };
       session->per_group_.push_back(std::make_unique<AsyncClientEngine>(cc));
       engines.push_back(session->per_group_.back().get());

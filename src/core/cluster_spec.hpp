@@ -50,9 +50,10 @@ struct WorkloadSpec {
   Nanos think_time = 0;                  // §7.4 uses 2 ms between requests
   double read_fraction = 0.0;            // §7.5 read workloads
   std::uint64_t requests_per_client = 0; // 0 = run until deadline/stop
-  // Client-side coalescing (`--client-coalesce`): N > 1 ships N commands
-  // per client round / per session tick in shared kClientCmdBatch frames;
-  // 1 = one kClientRequest frame per command (the classic wire).
+  // The closed-loop client's round size (`--client-coalesce`): each round
+  // is N commands shipped as one kClientCmdBatch frame; 1 = one
+  // kClientRequest at a time (the classic loop). Sessions need no knob:
+  // they always ship whatever they have queued in shared frames.
   std::int32_t client_coalesce = 1;
 };
 

@@ -78,7 +78,7 @@ constexpr Row kTable[] = {
      .store = [](const Value& v, Flags* f) { f->batch.flush_mode = kFlushModes[v.i]; }},
     {.id = Flag::kClientCoalesce, .name = "--client-coalesce", .kind = Kind::kInt,
      .shape = "N", .lo = 1, .hi = consensus::kMaxClientBatchCommands,
-     .help = "commands per client-side batch frame; 1 = one frame per command",
+     .help = "closed-loop client round size, shipped in one frame; 1 = one command at a time",
      .store = [](const Value& v, Flags* f) {
        f->client_coalesce = static_cast<std::int32_t>(v.i);
      }},

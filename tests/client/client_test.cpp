@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "support/fake_net.hpp"
 
@@ -18,27 +21,50 @@ using consensus::ProtoId;
 
 using test::FakeNet;
 
-// A trivial always-commit replica for driving the client.
+// A trivial always-commit replica for driving the client. It answers each
+// command of a kClientCmdBatch on its own, as a replica node's group demux
+// delivers them (consensus/group.cpp), and logs every frame it receives.
 class EchoReplica final : public Engine {
  public:
+  struct Frame {
+    MsgType type;
+    std::uint16_t flags;
+    std::vector<std::uint32_t> seqs;
+  };
+
   void on_message(Context& ctx, const Message& m) override {
-    if (m.type != MsgType::kClientRequest) return;
-    requests++;
-    if (requests == 1) first_flags = m.flags;
-    last_flags = m.flags;
-    if (mute) return;
-    Message reply(MsgType::kClientReply, ProtoId::kClient, ctx.self(),
-                  m.u.client_request.cmd.client);
-    reply.u.client_reply.seq = m.u.client_request.cmd.seq;
-    reply.u.client_reply.ok = 1;
-    reply.u.client_reply.leader_hint = ctx.self();
-    ctx.send(m.u.client_request.cmd.client, reply);
+    if (m.type == MsgType::kClientRequest) {
+      on_frame(ctx, m, &m.u.client_request.cmd, 1);
+    } else if (m.type == MsgType::kClientCmdBatch) {
+      const std::int32_t count = m.u.client_cmd_batch.count;
+      on_frame(ctx, m, m.u.client_cmd_batch.run.data(count), count);
+    }
   }
 
-  int requests = 0;
+  int requests = 0;  // commands received, whatever frame carried them
   std::uint16_t first_flags = 0;
   std::uint16_t last_flags = 0;
   bool mute = false;
+  std::vector<Frame> frames;
+
+ private:
+  void on_frame(Context& ctx, const Message& m, const Command* cmds, std::int32_t count) {
+    Frame f{m.type, m.flags, {}};
+    for (std::int32_t i = 0; i < count; ++i) {
+      const Command& cmd = cmds[i];
+      f.seqs.push_back(cmd.seq);
+      requests++;
+      if (requests == 1) first_flags = m.flags;
+      last_flags = m.flags;
+      if (mute) continue;
+      Message reply(MsgType::kClientReply, ProtoId::kClient, ctx.self(), cmd.client);
+      reply.u.client_reply.seq = cmd.seq;
+      reply.u.client_reply.ok = 1;
+      reply.u.client_reply.leader_hint = ctx.self();
+      ctx.send(cmd.client, reply);
+    }
+    frames.push_back(std::move(f));
+  }
 };
 
 struct ClientHarness {
@@ -307,6 +333,81 @@ TEST(Client, SubmitStaleRepliesIgnored) {
   h.net.run();
   EXPECT_TRUE(a.done());
   EXPECT_EQ(h.replicas[0]->requests, 1);
+}
+
+// A session ships what it has queued when its node launches: plain submits
+// share kClientCmdBatch frames of up to kMaxClientBatchCommands, a chunk of
+// one goes as a kClientRequest, a submit_run() run keeps its frames to
+// itself, and retries go one kClientRequest each.
+TEST(Client, QueuedSubmitsShareFrames) {
+  constexpr std::int32_t kCap = consensus::kMaxClientBatchCommands;
+  for (const std::int32_t k : {1, 2, 8, 9, 17}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    SubmitHarness h;
+    std::vector<SubmitHandle> handles;
+    for (std::int32_t i = 0; i < k; ++i) handles.push_back(h.engine->submit(Op::kWrite, i, i));
+    h.net.tick_all();
+    h.net.run();
+    const auto& frames = h.replicas[0]->frames;
+    ASSERT_EQ(static_cast<std::int32_t>(frames.size()), (k + kCap - 1) / kCap);
+    std::uint32_t seq = 0;
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      const std::int32_t want = std::min(kCap, k - static_cast<std::int32_t>(f) * kCap);
+      ASSERT_EQ(static_cast<std::int32_t>(frames[f].seqs.size()), want);
+      EXPECT_EQ(frames[f].type,
+                want == 1 ? MsgType::kClientRequest : MsgType::kClientCmdBatch);
+      EXPECT_EQ(frames[f].flags, 0);
+      for (const std::uint32_t s : frames[f].seqs) EXPECT_EQ(s, ++seq);  // FIFO
+    }
+    for (const SubmitHandle& handle : handles) EXPECT_TRUE(handle.done());
+  }
+
+  // A run between plain submits keeps a frame of its own, and two
+  // back-to-back runs never merge: five frames.
+  {
+    SubmitHarness h;
+    h.engine->submit(Op::kWrite, 1, 1);
+    h.engine->submit(Op::kWrite, 2, 2);
+    h.engine->submit_run(std::vector<Command>(3));
+    h.engine->submit(Op::kWrite, 3, 3);
+    h.engine->submit(Op::kWrite, 4, 4);
+    h.engine->submit_run(std::vector<Command>(2));
+    h.engine->submit_run(std::vector<Command>(2));
+    h.net.tick_all();
+    h.net.run();
+    const auto& frames = h.replicas[0]->frames;
+    ASSERT_EQ(frames.size(), 5u);
+    const std::vector<std::vector<std::uint32_t>> want = {
+        {1, 2}, {3, 4, 5}, {6, 7}, {8, 9}, {10, 11}};
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      EXPECT_EQ(frames[f].type, MsgType::kClientCmdBatch);
+      EXPECT_EQ(frames[f].seqs, want[f]);
+    }
+  }
+
+  // Overdue commands leave the shared frame: each is re-sent to the next
+  // replica as its own kClientRequest with the suspect flag.
+  {
+    SubmitHarness h;
+    h.replicas[0]->mute = true;
+    std::vector<SubmitHandle> handles;
+    for (int i = 0; i < 3; ++i) handles.push_back(h.engine->submit(Op::kWrite, i, i));
+    h.net.tick_all();
+    h.net.run();
+    ASSERT_EQ(h.replicas[0]->frames.size(), 1u);
+    EXPECT_EQ(h.replicas[0]->frames[0].type, MsgType::kClientCmdBatch);
+    h.net.advance(2 * kMillisecond);
+    h.net.run();
+    const auto& frames = h.replicas[1]->frames;
+    ASSERT_EQ(frames.size(), 3u);
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      EXPECT_EQ(frames[f].type, MsgType::kClientRequest);
+      EXPECT_EQ(frames[f].flags, kFlagLeaderSuspect);
+      EXPECT_EQ(frames[f].seqs, std::vector<std::uint32_t>{static_cast<std::uint32_t>(f + 1)});
+    }
+    for (const SubmitHandle& handle : handles) EXPECT_TRUE(handle.done());
+    EXPECT_EQ(h.engine->retries(), 1u);
+  }
 }
 
 }  // namespace
