@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     o.num_clients = kClients;
     o.seed = 21;
     o.engine.batch.max_commands = batch;
-    o.workload.client_coalesce = coalesce;
+    o.workload.round_size = coalesce;
     return run_cluster(backend, ShardSpec(o, groups, placement), warmup, window);
   };
 

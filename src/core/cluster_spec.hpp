@@ -50,11 +50,9 @@ struct WorkloadSpec {
   Nanos think_time = 0;                  // §7.4 uses 2 ms between requests
   double read_fraction = 0.0;            // §7.5 read workloads
   std::uint64_t requests_per_client = 0; // 0 = run until deadline/stop
-  // The closed-loop client's round size (`--client-coalesce`): each round
-  // is N commands shipped as one kClientCmdBatch frame; 1 = one
-  // kClientRequest at a time (the classic loop). Sessions need no knob:
-  // they always ship whatever they have queued in shared frames.
-  std::int32_t client_coalesce = 1;
+  // Commands per closed-loop round, shipped as one kClientCmdBatch frame;
+  // 1 = one kClientRequest at a time (the classic loop).
+  std::int32_t round_size = 1;
 };
 
 // A named, internally-consistent set of timer constants. The three profiles

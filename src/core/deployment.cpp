@@ -44,7 +44,7 @@ Deployment::Deployment(const ClusterSpec& spec, bool auto_start_clients)
     cc.engine.base = base_cfg(self);
     cc.engine.initial_target = 0;  // the paper's clients start at core 0
     cc.engine.request_timeout = spec_.workload.request_timeout;
-    cc.round_size = spec_.workload.client_coalesce;
+    cc.round_size = spec_.workload.round_size;
     cc.think_time = spec_.workload.think_time;
     cc.read_fraction = spec_.workload.read_fraction;
     cc.total_requests = spec_.workload.requests_per_client;

@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "common/check.hpp"
-#include "consensus/message.hpp"
 #include "net/endpoint.hpp"
 
 namespace ci::harness {
@@ -76,12 +75,6 @@ constexpr Row kTable[] = {
      .shape = "fixed|adaptive",
      .help = "partial-batch hold: the full timer, or flush early when arrivals look sparse",
      .store = [](const Value& v, Flags* f) { f->batch.flush_mode = kFlushModes[v.i]; }},
-    {.id = Flag::kClientCoalesce, .name = "--client-coalesce", .kind = Kind::kInt,
-     .shape = "N", .lo = 1, .hi = consensus::kMaxClientBatchCommands,
-     .help = "closed-loop client round size, shipped in one frame; 1 = one command at a time",
-     .store = [](const Value& v, Flags* f) {
-       f->client_coalesce = static_cast<std::int32_t>(v.i);
-     }},
     {.id = Flag::kTxnMix, .name = "--txn-mix", .kind = Kind::kDouble, .shape = "P", .lo = 0,
      .hi = 1, .help = "fraction of ops issued as cross-shard transactions",
      .store = [](const Value& v, Flags* f) { f->txn_mix = v.d; }},

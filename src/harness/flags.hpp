@@ -35,7 +35,6 @@ enum class Flag {
   kBatch,           // --batch=N (BatchPolicy::max_commands)
   kBatchFlushUs,    // --batch-flush-us=T (BatchPolicy::flush_after)
   kFlushPolicy,     // --flush-policy=fixed|adaptive (BatchPolicy::flush_mode)
-  kClientCoalesce,  // --client-coalesce=N
   kTxnMix,          // --txn-mix=P
   kReadMix,         // --read-mix=P
   kLeaseMs,         // --lease-ms=T
@@ -55,7 +54,6 @@ struct Flags {
   std::int32_t groups = 1;
   Placement placement = Placement::kGroupMajor;
   consensus::BatchPolicy batch;  // unbatched, fixed flush
-  std::int32_t client_coalesce = 1;
   double txn_mix = 0.0;
   double read_mix = 0.0;
   Nanos lease = 0;  // 0 = leases off

@@ -162,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 4), ::testing::Values(8, 64)),
     param_name);
 
-// Client-side coalescing parity (--client-coalesce): shipping N commands
+// Client-side coalescing parity (WorkloadSpec::round_size): shipping N commands
 // per kClientCmdBatch frame changes the wire grouping, never the acked
 // command stream. Both backends, coalesce=1 (the legacy frames) vs 8,
 // against the uncoalesced baseline on the deterministic backend.
@@ -175,7 +175,7 @@ ShardSpec coalesced_spec(Backend backend, std::int32_t groups, std::int32_t coal
   o.workload.requests_per_client = kQuota;  // rounds of 8 then a ragged 4
   o.seed = 17;
   o.engine.batch.max_commands = 16;
-  o.workload.client_coalesce = coalesce;
+  o.workload.round_size = coalesce;
   return ShardSpec(o, groups, Placement::kGroupMajor);
 }
 

@@ -50,8 +50,6 @@ std::string field(const Flags& f, Flag id) {
       return std::to_string(f.batch.flush_after);
     case Flag::kFlushPolicy:
       return f.batch.adaptive() ? "adaptive" : "fixed";
-    case Flag::kClientCoalesce:
-      return std::to_string(f.client_coalesce);
     case Flag::kTxnMix:
       std::snprintf(buf, sizeof(buf), "%g", f.txn_mix);
       return buf;
@@ -163,17 +161,6 @@ const std::vector<Case> kCases = {
     bad({"--flush-policy=auto"}, {Flag::kFlushPolicy}, "'auto'"),
     bad({"--flush-policy=FIXED"}, {Flag::kFlushPolicy}, "'FIXED'"),
     bad({"--flush-policy"}, {Flag::kFlushPolicy}, "requires a value"),
-
-    // --client-coalesce: like --batch, 0 must not silently run uncoalesced;
-    // one frame carries at most kMaxClientBatchCommands.
-    ok({"--client-coalesce=4"}, {Flag::kClientCoalesce}, "4"),
-    ok({"--client-coalesce", "8"}, {Flag::kClientCoalesce}, "8"),
-    ok({}, {Flag::kClientCoalesce}, "1"),
-    bad({"--client-coalesce=0"}, {Flag::kClientCoalesce}, "'0'"),
-    bad({"--client-coalesce=-2"}, {Flag::kClientCoalesce}, "1 <= N <= 8"),
-    bad({"--client-coalesce=lots"}, {Flag::kClientCoalesce}, "bad value"),
-    bad({"--client-coalesce=9"}, {Flag::kClientCoalesce}, "bad value"),
-    bad({"--client-coalesce"}, {Flag::kClientCoalesce}, "requires a value"),
 
     // --txn-mix and --read-mix: fractions; NaN fails every comparison.
     ok({"--txn-mix=0.25"}, {Flag::kTxnMix}, "0.25"),
@@ -323,7 +310,7 @@ TEST(Flags, AbsentFlagsKeepTheBinarysDefaults) {
 
 TEST(Flags, PositionalsSkipFlagsAndTheirSpaceFormValues) {
   Args a({"multipaxos", "--backend", "rt", "300", "--groups=4", "--placement", "colocated",
-          "--batch", "8", "--batch-flush-us=10", "--client-coalesce", "4", "--txn-mix", "0.3",
+          "--batch", "8", "--batch-flush-us=10", "--txn-mix", "0.3",
           "--read-mix", "0.9", "--lease-ms=50", "--sessions", "50000", "--flush-policy=adaptive",
           "--net-port-base", "14000", "--net-registry=127.0.0.1:0", "--net-io-threads", "2",
           "keep"});
@@ -332,7 +319,7 @@ TEST(Flags, PositionalsSkipFlagsAndTheirSpaceFormValues) {
   ASSERT_TRUE(try_parse_flags(
       a.argc(), a.argv(),
       {Flag::kBackend, Flag::kGroups, Flag::kPlacement, Flag::kBatch, Flag::kBatchFlushUs,
-       Flag::kClientCoalesce, Flag::kTxnMix, Flag::kReadMix, Flag::kLeaseMs, Flag::kSessions,
+       Flag::kTxnMix, Flag::kReadMix, Flag::kLeaseMs, Flag::kSessions,
        Flag::kFlushPolicy, Flag::kNetPortBase, Flag::kNetRegistry, Flag::kNetIoThreads,
        Flag::kPositionals},
       &f, &err))
@@ -405,8 +392,8 @@ TEST(Flags, UnconsumedFlagBesidePositionalsExitsTwo) {
   Flags f;
   EXPECT_EXIT(parse_flags(a.argc(), a.argv(),
                           {Flag::kBackend, Flag::kGroups, Flag::kPlacement, Flag::kBatch,
-                           Flag::kBatchFlushUs, Flag::kFlushPolicy, Flag::kClientCoalesce,
-                           Flag::kTxnMix, Flag::kPositionals},
+                           Flag::kBatchFlushUs, Flag::kFlushPolicy, Flag::kTxnMix,
+                           Flag::kPositionals},
                           &f),
               ::testing::ExitedWithCode(2), "flag '--lease-ms' is not used by this binary");
 }
